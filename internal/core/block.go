@@ -43,26 +43,26 @@ func (op *FmmpOperator) ApplyBatch(dst, src [][]float64) {
 	switch op.Form {
 	case Right: // Q·F: scale each vector, then one batched transform
 		for j := range src {
-			mulInto(op.Dev, dst[j], src[j], op.fdiag)
+			op.Dev.Mul(dst[j], src[j], op.fdiag)
 		}
 		op.applyQBatch(dst)
 	case Symmetric: // F^½·Q·F^½
 		for j := range src {
-			mulInto(op.Dev, dst[j], src[j], op.fsqrt)
+			op.Dev.Mul(dst[j], src[j], op.fsqrt)
 		}
 		op.applyQBatch(dst)
 		for j := range dst {
-			mulInto(op.Dev, dst[j], dst[j], op.fsqrt)
+			op.Dev.Mul(dst[j], dst[j], op.fsqrt)
 		}
 	case Left: // F·Q
 		for j := range src {
 			if &dst[j][0] != &src[j][0] {
-				copyInto(op.Dev, dst[j], src[j])
+				op.Dev.Copy(dst[j], src[j])
 			}
 		}
 		op.applyQBatch(dst)
 		for j := range dst {
-			mulInto(op.Dev, dst[j], dst[j], op.fdiag)
+			op.Dev.Mul(dst[j], dst[j], op.fdiag)
 		}
 	default:
 		panic(fmt.Sprintf("core: unknown formulation %d", op.Form))

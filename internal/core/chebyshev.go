@@ -149,11 +149,11 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 	} else {
 		vec.Fill(x, 1)
 	}
-	nrm := norm2(dev, x)
+	nrm := dev.Norm2(x)
 	if nrm == 0 {
 		return ChebyshevResult{}, errors.New("core: start vector is zero")
 	}
-	scale(dev, x, 1/nrm)
+	dev.Scale(x, 1/nrm)
 
 	// Interval map: λ ↦ (2λ − (b+a))/(b−a) sends [a, b] to [−1, 1].
 	center := (b + a) / 2
@@ -188,20 +188,22 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 			steps = remaining
 		}
 		ph := beginPhase(sr, PhaseChebPoly)
-		// z ← A'·x (degree 1), previous iterate is x (degree 0).
+		// z ← A'·x = (W·x − c·x)/e (degree 1), previous iterate is x (degree 0).
 		op.Apply(w, x)
 		res.MatVecs++
-		chebMap(dev, z, w, x, center, halfWidth, nil)
+		dev.Copy(z, w)
+		dev.AXPY(-center, x, z)
+		dev.Scale(z, 1/halfWidth)
 		for j := 1; j < steps; j++ {
 			op.Apply(w, z)
 			res.MatVecs++
 			// x ← 2·A'·z − x, then swap roles of x and z.
 			chebMap2(dev, x, w, z, center, halfWidth)
 			x, z = z, x
-			if m := norm2(dev, x); m > 1e100 || (m < 1e-100 && m > 0) {
+			if m := dev.Norm2(x); m > 1e100 || (m < 1e-100 && m > 0) {
 				inv := 1 / m
-				scale(dev, x, inv)
-				scale(dev, z, inv)
+				dev.Scale(x, inv)
+				dev.Scale(z, inv)
 			}
 		}
 		// The in-loop swap leaves the newest iterate z_steps in z; swap once
@@ -210,25 +212,25 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 		span.End(ph, int64(res.Restarts), int64(steps))
 
 		ph = beginPhase(sr, PhaseNormalize)
-		nrm = norm2(dev, x)
+		nrm = dev.Norm2(x)
 		if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
 			span.End(ph, int64(res.Restarts), 0)
 			finishCheb(&res, x, opts.Work)
 			powerDone(sh, sp, opts.Observer, SolveKindChebyshev, EventBreakdown, n, res.MatVecs, res.Lambda, res.Residual)
 			return res, fmt.Errorf("core: Chebyshev iteration broke down at restart %d (‖x‖ = %g)", res.Restarts, nrm)
 		}
-		scale(dev, x, 1/nrm)
+		dev.Scale(x, 1/nrm)
 		span.End(ph, int64(res.Restarts), 0)
 
 		// Rayleigh quotient and explicit residual of the filtered iterate.
 		ph = beginPhase(sr, PhaseRayleigh)
 		op.Apply(w, x)
 		res.MatVecs++
-		lambda := dot(dev, x, w)
+		lambda := dev.Dot(x, w)
 		span.End(ph, int64(res.Restarts), 0)
 		res.Lambda = lambda
 		ph = beginPhase(sr, PhaseResidual)
-		r := residual(dev, w, x, lambda)
+		r := dev.ResidualNorm2(w, x, lambda)
 		span.End(ph, int64(res.Restarts), 0)
 		res.Residual = r
 		if sh != nil {
@@ -275,25 +277,6 @@ func finishCheb(res *ChebyshevResult, x []float64, work *ChebyshevWork) {
 	res.Vector = x
 	if work != nil && &work.x[0] != &x[0] {
 		work.x, work.z = x, work.x
-	}
-}
-
-// chebMap computes out ← (w − c·x)/e, the degree-1 Chebyshev step
-// T₁(A')·x with w = W·x. prev is unused (kept for symmetry with chebMap2).
-func chebMap(dev *device.Device, out, w, x []float64, c, e float64, prev []float64) {
-	_ = prev
-	inv := 1 / e
-	if dev != nil {
-		od, wd, xd := out, w, x
-		dev.LaunchRange(len(out), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				od[i] = (wd[i] - c*xd[i]) * inv
-			}
-		})
-		return
-	}
-	for i := range out {
-		out[i] = (w[i] - c*x[i]) * inv
 	}
 }
 

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/device"
-	"repro/internal/vec"
-)
+import "repro/internal/device"
 
 // Shared Krylov-subspace plumbing for the Lanczos-family solvers (Lanczos
 // restarts, the shift-invert outer iteration, and the RitzGap probe): a
@@ -65,33 +62,33 @@ func (kw *KrylovWork) krylov(n, k int) (basis [][]float64, alpha, beta, w []floa
 // invariant subspace: ‖w‖ below 1e-300). matvecs, when non-nil, is
 // incremented once per operator application.
 func lanczosSteps(op Operator, basis [][]float64, alpha, beta, w []float64, k int, matvecs *int) int {
+	var dev *device.Device // the shared block kernels, run inline
 	built := 0
 	for j := 0; j < k; j++ {
 		op.Apply(w, basis[j])
 		if matvecs != nil {
 			*matvecs++
 		}
-		alpha[j] = vec.Dot(basis[j], w)
-		vec.AXPY(-alpha[j], basis[j], w)
+		alpha[j] = dev.Dot(basis[j], w)
+		dev.AXPY(-alpha[j], basis[j], w)
 		if j > 0 {
-			vec.AXPY(-beta[j-1], basis[j-1], w)
+			dev.AXPY(-beta[j-1], basis[j-1], w)
 		}
 		// Full reorthogonalization: cheap at small k, removes the classic
 		// Lanczos loss-of-orthogonality failure mode.
 		for t := 0; t <= j; t++ {
-			c := vec.Dot(basis[t], w)
-			vec.AXPY(-c, basis[t], w)
+			c := dev.Dot(basis[t], w)
+			dev.AXPY(-c, basis[t], w)
 		}
 		built = j + 1
 		if j+1 < k {
-			b := vec.Norm2(w)
+			b := dev.Norm2(w)
 			if b < 1e-300 {
 				break // invariant subspace found
 			}
 			beta[j] = b
-			for i := range w {
-				basis[j+1][i] = w[i] / b
-			}
+			dev.Copy(basis[j+1], w)
+			dev.Scale(basis[j+1], 1/b)
 		}
 	}
 	return built

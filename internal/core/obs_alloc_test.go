@@ -221,8 +221,8 @@ func TestSpanRecorderIsBitIdentical(t *testing.T) {
 		t.Errorf("solve spans = %d, want 1", got)
 	}
 	for phase, want := range map[string]int{
-		PhaseMatvec: iters, PhaseShift: iters, PhaseRayleigh: iters,
-		PhaseResidual: iters, PhaseNormalize: iters - 1, // the converged iteration never normalizes
+		PhaseMatvec: iters, PhaseShiftDot: iters, PhaseResidualScale: iters,
+		PhaseRayleigh: 0, PhaseResidual: 0, PhaseNormalize: 0, // fused into the two passes above
 	} {
 		if got := sr.byName["core/"+phase]; got != want {
 			t.Errorf("%s spans = %d, want %d", phase, got, want)

@@ -78,8 +78,12 @@ func notifyMethod(o Observer, kind string) {
 // table — the breakdown the paper's cost model talks about (matvec
 // dominates; the BLAS-1 phases are the O(N) overhead around it).
 const (
-	PhaseMatvec         = "matvec"
-	PhaseShift          = "shift"
+	PhaseMatvec = "matvec"
+	// PhaseShiftDot and PhaseResidualScale are the two fused vector passes
+	// of a power step: the Rayleigh numerator and ‖w′‖ of the shifted
+	// product w′ = w − µx, then the residual and the rescale w ← w′/‖w′‖.
+	PhaseShiftDot       = "shift_dot"
+	PhaseResidualScale  = "residual_scale"
 	PhaseRayleigh       = "rayleigh"
 	PhaseResidual       = "residual"
 	PhaseNormalize      = "normalize"

@@ -16,7 +16,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/landscape"
 	"repro/internal/mutation"
-	"repro/internal/vec"
 )
 
 // Formulation selects among the three mathematically equivalent
@@ -112,29 +111,33 @@ func (op *FmmpOperator) Apply(dst, src []float64) {
 		panic("core: FmmpOperator.Apply dimension mismatch")
 	}
 	switch op.Form {
-	case Right: // Q·F: scale then transform
-		mulInto(op.Dev, dst, src, op.fdiag)
-		op.applyQ(dst)
+	case Right: // Q·F: the scaling is the prologue of the first tile pass
+		op.applyQ(dst, src, op.fdiag)
 	case Symmetric: // F^½·Q·F^½
-		mulInto(op.Dev, dst, src, op.fsqrt)
-		op.applyQ(dst)
-		mulInto(op.Dev, dst, dst, op.fsqrt)
+		op.applyQ(dst, src, op.fsqrt)
+		op.Dev.Mul(dst, dst, op.fsqrt)
 	case Left: // F·Q: transform then scale
 		if &dst[0] != &src[0] {
-			copyInto(op.Dev, dst, src)
+			op.Dev.Copy(dst, src)
 		}
-		op.applyQ(dst)
-		mulInto(op.Dev, dst, dst, op.fdiag)
+		op.applyQ(dst, dst, nil)
+		op.Dev.Mul(dst, dst, op.fdiag)
 	default:
 		panic(fmt.Sprintf("core: unknown formulation %d", op.Form))
 	}
 }
 
-func (op *FmmpOperator) applyQ(v []float64) {
-	if op.Dev != nil {
-		op.Q.ApplyDevice(op.Dev, v)
-	} else {
-		op.Q.Apply(v)
+// applyQ computes dst ← Q·(f ⊙ src), or dst ← Q·dst when f is nil.
+func (op *FmmpOperator) applyQ(dst, src, f []float64) {
+	switch {
+	case op.Dev == nil && f == nil:
+		op.Q.Apply(dst)
+	case op.Dev == nil:
+		op.Q.ApplyScaled(dst, src, f)
+	case f == nil:
+		op.Q.ApplyDevice(op.Dev, dst)
+	default:
+		op.Q.ApplyScaledDevice(op.Dev, dst, src, f)
 	}
 }
 
@@ -184,16 +187,16 @@ func (op *XmvpOperator) Apply(dst, src []float64) {
 	}
 	switch op.Form {
 	case Right:
-		mulInto(op.Dev, op.scratch, src, op.fdiag)
+		op.Dev.Mul(op.scratch, src, op.fdiag)
 		op.applyQ(dst, op.scratch)
 	case Symmetric:
-		mulInto(op.Dev, op.scratch, src, op.fsqrt)
+		op.Dev.Mul(op.scratch, src, op.fsqrt)
 		op.applyQ(dst, op.scratch)
-		mulInto(op.Dev, dst, dst, op.fsqrt)
+		op.Dev.Mul(dst, dst, op.fsqrt)
 	case Left:
-		copyInto(op.Dev, op.scratch, src)
+		op.Dev.Copy(op.scratch, src)
 		op.applyQ(dst, op.scratch)
-		mulInto(op.Dev, dst, dst, op.fdiag)
+		op.Dev.Mul(dst, dst, op.fdiag)
 	default:
 		panic(fmt.Sprintf("core: unknown formulation %d", op.Form))
 	}
@@ -289,13 +292,13 @@ func (op *ShiftedOperator) Apply(dst, src []float64) {
 			op.scratch = make([]float64, len(src))
 		}
 		tmp := op.scratch
-		copyInto(op.Dev, tmp, src)
+		op.Dev.Copy(tmp, src)
 		op.Base.Apply(dst, tmp)
-		axpyInto(op.Dev, -op.Mu, tmp, dst)
+		op.Dev.AXPY(-op.Mu, tmp, dst)
 		return
 	}
 	op.Base.Apply(dst, src)
-	axpyInto(op.Dev, -op.Mu, src, dst)
+	op.Dev.AXPY(-op.Mu, src, dst)
 }
 
 // ConvertEigenvector converts the dominant eigenvector between the three
@@ -321,31 +324,4 @@ func ConvertEigenvector(x []float64, from, to Formulation, f landscape.Landscape
 		x[i] *= math.Pow(f.At(uint64(i)), d)
 	}
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// small helpers (serial or device execution)
-
-func mulInto(dev *device.Device, dst, a, b []float64) {
-	if dev != nil {
-		dev.Mul(dst, a, b)
-	} else {
-		vec.Mul(dst, a, b)
-	}
-}
-
-func copyInto(dev *device.Device, dst, src []float64) {
-	if dev != nil {
-		dev.Copy(dst, src)
-	} else {
-		copy(dst, src)
-	}
-}
-
-func axpyInto(dev *device.Device, a float64, x, y []float64) {
-	if dev != nil {
-		dev.AXPY(a, x, y)
-	} else {
-		vec.AXPY(a, x, y)
-	}
 }

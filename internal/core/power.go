@@ -39,8 +39,9 @@ type PowerOptions struct {
 	// Start is the starting vector; it is copied, not mutated. The paper
 	// recommends diag(F)/‖diag(F)‖₁ (see FitnessStart). Default: uniform.
 	Start []float64
-	// Dev selects device-parallel BLAS-1 operations; nil runs serially.
-	// (The operator's own device is configured on the operator.)
+	// Dev runs the vector passes on a device; nil runs the same kernels
+	// inline, with bit-identical results. (The operator's own device is
+	// configured on the operator.)
 	Dev *device.Device
 	// CheckEvery controls how often the residual is evaluated (every
 	// iteration by default). Residual checks cost one pass over the
@@ -151,11 +152,11 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 	} else {
 		vec.Fill(x, 1)
 	}
-	nrm := norm2(dev, x)
+	nrm := dev.Norm2(x)
 	if nrm == 0 {
 		return PowerResult{}, errors.New("core: start vector is zero")
 	}
-	scale(dev, x, 1/nrm)
+	dev.Scale(x, 1/nrm)
 	// Both hooks are hoisted: one atomic load each per solve, then plain
 	// nil checks in the loop. The solve span closes in powerDone so every
 	// exit path ends it without a deferred closure (which would allocate).
@@ -177,27 +178,26 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 	bestIter := 0 // iteration at which bestResidual last improved
 	lastCheck := 0
 	stalled := 0
+	// One step is three passes over N: the butterflies (w ← W·x), pass A
+	// (the Rayleigh numerator and ‖w′‖ of w′ = w − µx, formed in registers)
+	// and pass B (the residual ‖w′ − λₛx‖ of x, and w ← w′/‖w′‖). The
+	// iterate and product buffers then swap, so x is always the iterate
+	// whose residual was measured last.
 	for iter := 1; iter <= maxIter; iter++ {
 		ph := beginPhase(sr, PhaseMatvec)
 		op.Apply(w, x)
 		span.End(ph, int64(iter), 0)
-		if mu != 0 {
-			ph = beginPhase(sr, PhaseShift)
-			axpyInto(dev, -mu, x, w) // w ← (W − µI)·x
-			span.End(ph, int64(iter), 0)
-		}
 		res.Iterations = iter
-		// Rayleigh quotient of the *shifted* operator for unit x.
-		ph = beginPhase(sr, PhaseRayleigh)
-		lamShifted := dot(dev, x, w)
+		ph = beginPhase(sr, PhaseShiftDot)
+		lamShifted, nrm := dev.ShiftDotNorm(x, w, mu)
 		span.End(ph, int64(iter), 0)
 		res.Lambda = lamShifted + mu
+		// Residual of the shifted pair equals that of the unshifted pair:
+		// Wx − λx = (W−µI)x − (λ−µ)x.
+		ph = beginPhase(sr, PhaseResidualScale)
+		r := dev.ResidualScale(x, w, mu, lamShifted, 1/nrm)
+		span.End(ph, int64(iter), 0)
 		if iter%checkEvery == 0 || iter == maxIter {
-			// Residual of the shifted pair equals that of the unshifted
-			// pair: Wx − λx = (W−µI)x − (λ−µ)x.
-			ph = beginPhase(sr, PhaseResidual)
-			r := residual(dev, w, x, lamShifted)
-			span.End(ph, int64(iter), 0)
 			res.Residual = r
 			if sh != nil {
 				sh.o.SolveStep(SolveKindPower, iter-lastCheck)
@@ -214,7 +214,7 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 				stalled++
 			}
 			if opts.Monitor != nil && !opts.Monitor(iter, res.Lambda, r) {
-				finish(dev, &res, x)
+				finish(&res, x, w, opts.Work)
 				powerDone(sh, sp, opts.Observer, SolveKindPower, EventAborted, n, iter, res.Lambda, r)
 				return res, &ConvergenceError{
 					Reason: ErrNoConvergence, Method: SolveKindPower,
@@ -225,12 +225,12 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 			}
 			if r <= tol {
 				res.Converged = true
-				finish(dev, &res, x)
+				finish(&res, x, w, opts.Work)
 				powerDone(sh, sp, opts.Observer, SolveKindPower, EventConverged, n, iter, res.Lambda, r)
 				return res, nil
 			}
 			if stallChecks > 0 && stalled >= stallChecks {
-				finish(dev, &res, x)
+				finish(&res, x, w, opts.Work)
 				powerDone(sh, sp, opts.Observer, SolveKindPower, EventStagnated, n, iter, res.Lambda, r)
 				return res, &ConvergenceError{
 					Reason: ErrStagnated, Method: SolveKindPower,
@@ -239,35 +239,14 @@ func PowerIteration(op Operator, opts PowerOptions) (PowerResult, error) {
 				}
 			}
 		}
-		ph = beginPhase(sr, PhaseNormalize)
-		nrm = norm2(dev, w)
 		if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
-			span.End(ph, int64(iter), 0)
-			finish(dev, &res, x)
+			finish(&res, x, w, opts.Work)
 			powerDone(sh, sp, opts.Observer, SolveKindPower, EventBreakdown, n, iter, res.Lambda, res.Residual)
 			return res, fmt.Errorf("core: iteration broke down at step %d (‖w‖ = %g)", iter, nrm)
 		}
-		inv := 1 / nrm
-		// x ← w/‖w‖. The device closure captures branch-local copies of
-		// the vectors: capturing x/w directly would make them escape and
-		// cost two heap allocations per solve even on the serial path
-		// (escape analysis is static), breaking the zero-alloc guarantee
-		// of Work-backed sweep solves.
-		if dev != nil {
-			xd, wd := x, w
-			dev.LaunchRange(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					xd[i] = wd[i] * inv
-				}
-			})
-		} else {
-			for i := range x {
-				x[i] = w[i] * inv
-			}
-		}
-		span.End(ph, int64(iter), 0)
+		x, w = w, x
 	}
-	finish(dev, &res, x)
+	finish(&res, x, w, opts.Work)
 	powerDone(sh, sp, opts.Observer, SolveKindPower, EventBudgetExhausted, n, res.Iterations, res.Lambda, res.Residual)
 	return res, &ConvergenceError{
 		Reason: ErrNoConvergence, Method: SolveKindPower,
@@ -298,10 +277,15 @@ func beginPhase(sr span.Recorder, name string) span.Handle {
 	return sr.Begin(span.LayerCore, name)
 }
 
-func finish(dev *device.Device, res *PowerResult, x []float64) {
+// finish orients and returns the iterate x; a Work-backed solve records
+// the final roles of its two swapped buffers, so the returned vector stays
+// Work's iterate (the warm-start aliasing contract).
+func finish(res *PowerResult, x, w []float64, work *PowerWork) {
 	orientPositive(x)
 	res.Vector = x
-	_ = dev
+	if work != nil {
+		work.x, work.w = x, w
+	}
 }
 
 // orientPositive flips x so its absolutely largest entry is positive.
@@ -358,41 +342,4 @@ func DefaultTolerance(f landscape.Landscape) float64 {
 	_, fmax := f.Bounds()
 	floor := 64 * 2.220446049250313e-16 * fmax * math.Sqrt(float64(f.Dim()))
 	return math.Max(1e-12, floor)
-}
-
-// ---------------------------------------------------------------------------
-// device-or-serial BLAS-1 helpers
-
-func dot(dev *device.Device, x, y []float64) float64 {
-	if dev != nil {
-		return dev.Dot(x, y)
-	}
-	return vec.Dot(x, y)
-}
-
-func norm2(dev *device.Device, x []float64) float64 {
-	if dev != nil {
-		return dev.Norm2(x)
-	}
-	return vec.Norm2(x)
-}
-
-func scale(dev *device.Device, x []float64, a float64) {
-	if dev != nil {
-		dev.Scale(x, a)
-	} else {
-		vec.Scale(x, a)
-	}
-}
-
-func residual(dev *device.Device, w, x []float64, lambda float64) float64 {
-	if dev != nil {
-		return dev.ResidualNorm2(w, x, lambda)
-	}
-	var s float64
-	for i, wi := range w {
-		r := wi - lambda*x[i]
-		s += r * r
-	}
-	return math.Sqrt(s)
 }

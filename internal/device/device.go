@@ -15,11 +15,14 @@
 //   - logical threads are chunked over a persistent pool of long-lived
 //     worker goroutines parked on a channel (see pool.go), the software
 //     analogue of scheduling thread blocks over resident multiprocessors;
-//   - Reduce implements the parallel reduction tree used for norms and
-//     residuals, which the paper notes "can be relatively well parallelized".
+//   - the vector kernels (veckernels.go) implement the reductions used for
+//     norms and residuals, which the paper notes "can be relatively well
+//     parallelized", on fixed blocks so results never depend on the
+//     worker count.
 //
 // A Device with one worker executes everything on the calling goroutine,
-// giving a serial twin with identical semantics for testing. Launch
+// and the vector kernels also accept a nil *Device, which runs them inline:
+// serial twins with bit-identical results. Launch
 // statistics are recorded so benchmarks can report grid sizes. The legacy
 // goroutine-per-chunk dispatch is kept behind WithSpawnDispatch so the
 // pool-vs-spawn cost can be measured rather than asserted.
@@ -50,6 +53,11 @@ type Device struct {
 	reduceLaunches atomic.Int64
 	stageLaunches  atomic.Int64
 	stagesFused    atomic.Int64
+
+	// partial holds the block partials of a parallel reduction, allocated
+	// once (grown on demand), owned by the reduction holding partialBusy.
+	partial     []float64
+	partialBusy atomic.Bool
 }
 
 // Option configures a Device.
@@ -133,7 +141,7 @@ func (d *Device) LaunchRange(n int, kernel func(lo, hi int)) {
 
 	chunk, nchunks := d.plan(n, d.grain)
 	d.chunksTotal.Add(int64(nchunks))
-	d.run(LaunchKindRange, n, chunk, nchunks, kernel)
+	d.run(LaunchKindRange, n, chunk, nchunks, kernel, nil)
 }
 
 // LaunchStages dispatches a fused group of `stages` dependent butterfly
@@ -157,18 +165,19 @@ func (d *Device) LaunchStages(stages, n, weight int, kernel func(lo, hi int)) {
 	}
 	chunk, nchunks := d.plan(n, d.grain/weight)
 	d.chunksTotal.Add(int64(nchunks))
-	d.run(LaunchKindStages, n, chunk, nchunks, kernel)
+	d.run(LaunchKindStages, n, chunk, nchunks, kernel, nil)
 }
 
-// run executes a planned launch with the configured dispatch. kind is the
+// run executes a planned launch with the configured dispatch. The body is
+// kernel, or the built-in vector kernel vk when kernel is nil. kind is the
 // launch family reported to an installed LaunchObserver and the name of the
 // device-layer span; with neither hook installed the only instrumentation
 // cost is the two atomic loads.
-func (d *Device) run(kind string, n, chunk, nchunks int, kernel func(lo, hi int)) {
+func (d *Device) run(kind string, n, chunk, nchunks int, kernel func(lo, hi int), vk *vecArgs) {
 	h := launchObs.Load()
 	sr := span.Installed()
 	if h == nil && sr == nil {
-		d.dispatch(n, chunk, nchunks, kernel, false)
+		d.dispatch(n, chunk, nchunks, kernel, vk, false)
 		return
 	}
 	var sp span.Handle
@@ -176,7 +185,7 @@ func (d *Device) run(kind string, n, chunk, nchunks int, kernel func(lo, hi int)
 		sp = sr.Begin(span.LayerDevice, kind)
 	}
 	start := time.Now()
-	wait := d.dispatch(n, chunk, nchunks, kernel, true)
+	wait := d.dispatch(n, chunk, nchunks, kernel, vk, true)
 	if sr != nil {
 		// The barrier tail is reported post hoc inside the still-open
 		// launch span, so it shows as the launch's child in the profile.
@@ -192,69 +201,45 @@ func (d *Device) run(kind string, n, chunk, nchunks int, kernel func(lo, hi int)
 
 // dispatch runs a planned launch; with measureWait it returns the barrier
 // tail the submitting goroutine spent waiting on pool workers.
-func (d *Device) dispatch(n, chunk, nchunks int, kernel func(lo, hi int), measureWait bool) time.Duration {
+func (d *Device) dispatch(n, chunk, nchunks int, kernel func(lo, hi int), vk *vecArgs, measureWait bool) time.Duration {
 	if nchunks == 1 || d.workers == 1 {
-		kernel(0, n)
+		if kernel != nil {
+			kernel(0, n)
+		} else {
+			vk.run(0, n)
+		}
 		return 0
 	}
 	if d.spawn {
-		var wg sync.WaitGroup
-		wg.Add(nchunks)
-		for c := 0; c < nchunks; c++ {
-			lo := c * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			go func(lo, hi int) {
-				defer wg.Done()
-				kernel(lo, hi)
-			}(lo, hi)
+		if kernel == nil {
+			k := *vk // the spawned closures must not capture the caller's copy
+			spawnChunks(n, chunk, nchunks, k.run)
+		} else {
+			spawnChunks(n, chunk, nchunks, kernel)
 		}
-		wg.Wait()
 		return 0
 	}
-	return runPooled(&batch{kernel: kernel, n: n, chunk: chunk, nchunks: nchunks}, d.workers-1, measureWait)
+	b := getBatch()
+	b.kernel, b.n, b.chunk, b.nchunks = kernel, n, chunk, nchunks
+	if kernel == nil {
+		b.vec = *vk
+	}
+	return runPooled(b, d.workers-1, measureWait)
 }
 
-// Reduce computes the combination of f(0) … f(n−1) under the associative
-// operator combine, with identity as the neutral element. Each worker
-// reduces a contiguous chunk locally; partial results are combined in
-// deterministic chunk order, so the result is independent of scheduling and
-// of the worker count (floating-point addition is not associative, and a
-// fixed combination order keeps runs reproducible).
-func (d *Device) Reduce(n int, identity float64, f func(i int) float64, combine func(a, b float64) float64) float64 {
-	if n <= 0 {
-		return identity
+// spawnChunks is the legacy dispatch: one goroutine per chunk.
+func spawnChunks(n, chunk, nchunks int, kernel func(lo, hi int)) {
+	var wg sync.WaitGroup
+	wg.Add(nchunks)
+	for c := 0; c < nchunks; c++ {
+		lo := c * chunk
+		hi := min(lo+chunk, n)
+		go func(lo, hi int) {
+			defer wg.Done()
+			kernel(lo, hi)
+		}(lo, hi)
 	}
-	d.reduceLaunches.Add(1)
-
-	chunk, nchunks := d.plan(n, d.grain)
-	if nchunks == 1 || d.workers == 1 {
-		acc := identity
-		for i := 0; i < n; i++ {
-			acc = combine(acc, f(i))
-		}
-		return acc
-	}
-	partial := make([]float64, nchunks)
-	d.run(LaunchKindReduce, n, chunk, nchunks, func(lo, hi int) {
-		acc := identity
-		for i := lo; i < hi; i++ {
-			acc = combine(acc, f(i))
-		}
-		partial[lo/chunk] = acc
-	})
-	acc := identity
-	for _, p := range partial {
-		acc = combine(acc, p)
-	}
-	return acc
-}
-
-// ReduceSum computes Σ f(i) for i in [0, n) using Reduce.
-func (d *Device) ReduceSum(n int, f func(i int) float64) float64 {
-	return d.Reduce(n, 0, f, func(a, b float64) float64 { return a + b })
+	wg.Wait()
 }
 
 // Stats is a snapshot of the launch counters of a Device.

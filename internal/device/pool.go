@@ -55,15 +55,55 @@ const maxBatchParts = 32
 
 // batch is one kernel launch in flight: a grid of nchunks contiguous
 // chunks, split into nparts contiguous parts claimed via per-part atomic
-// cursors by however many workers join in.
+// cursors by however many workers join in. The body is kernel, or the
+// built-in vector kernel vec when kernel is nil.
 type batch struct {
 	kernel  func(lo, hi int)
+	vec     vecArgs
 	n       int
 	chunk   int
 	nchunks int
 	nparts  int
+	refs    atomic.Int32 // participants still holding the batch
 	wg      sync.WaitGroup
 	parts   [maxBatchParts]atomic.Int64
+}
+
+// batches is the free list of launch records, so a launch allocates
+// nothing. A batch returns to it when the last participant holding it —
+// the submitter or an invited pool worker — lets go, so a late worker never
+// sees it reused. It starts full: a worker that wakes late holds one record
+// per slot of its queue, and launches must not allocate meanwhile.
+var batches = func() chan *batch {
+	c := make(chan *batch, 64)
+	for len(c) < cap(c) {
+		c <- new(batch)
+	}
+	return c
+}()
+
+func getBatch() *batch {
+	select {
+	case b := <-batches:
+		return b
+	default:
+		return new(batch)
+	}
+}
+
+// release drops one participant's hold; the last one recycles the batch.
+func (b *batch) release() {
+	if b.refs.Add(-1) != 0 {
+		return
+	}
+	for p := 0; p < b.nparts; p++ {
+		b.parts[p].Store(0)
+	}
+	b.kernel, b.vec = nil, vecArgs{}
+	select {
+	case batches <- b:
+	default:
+	}
 }
 
 // partBounds returns the chunk-index range [lo, hi) of part p.
@@ -99,7 +139,11 @@ func (b *batch) runPart(home int) {
 			if chi > b.n {
 				chi = b.n
 			}
-			b.kernel(clo, chi)
+			if b.kernel != nil {
+				b.kernel(clo, chi)
+			} else {
+				b.vec.run(clo, chi)
+			}
 			b.wg.Done()
 		}
 	}
@@ -170,6 +214,7 @@ func poolWorkers() []*poolWorker {
 						home = 1 + pw.id%(b.nparts-1)
 					}
 					b.runPart(home)
+					b.release()
 				}
 			}()
 		}
@@ -201,18 +246,23 @@ func runPooled(b *batch, helpers int, measureWait bool) time.Duration {
 	if b.nparts < 1 {
 		b.nparts = 1
 	}
+	b.refs.Store(int32(helpers + 1))
 	for i := 0; i < helpers; i++ {
 		select {
 		case ws[i].tasks <- b:
 		default:
+			b.refs.Add(-1) // never reaches 0: the caller still holds it
 		}
 	}
 	b.runPart(0)
+	var wait time.Duration
 	if measureWait {
 		start := time.Now()
 		b.wg.Wait()
-		return time.Since(start)
+		wait = time.Since(start)
+	} else {
+		b.wg.Wait()
 	}
-	b.wg.Wait()
-	return 0
+	b.release()
+	return wait
 }

@@ -85,9 +85,8 @@ func TestSpawnDispatchMatchesPool(t *testing.T) {
 	if vec.DistInf(yp, ys) != 0 {
 		t.Error("pool and spawn dispatch produced different results")
 	}
-	if got, want := pooled.ReduceSum(n, func(i int) float64 { return x[i] }),
-		spawned.ReduceSum(n, func(i int) float64 { return x[i] }); got != want {
-		t.Errorf("pooled ReduceSum = %v, spawn = %v (must be bit-identical)", got, want)
+	if got, want := pooled.Dot(x, yp), spawned.Dot(x, yp); got != want {
+		t.Errorf("pooled Dot = %v, spawn = %v (must be bit-identical)", got, want)
 	}
 }
 

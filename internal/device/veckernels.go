@@ -1,56 +1,158 @@
 package device
 
-import "math"
+import (
+	"math"
 
-// This file provides the device-parallel twins of the internal/vec kernels.
-// The power iteration needs only a handful of BLAS-1 operations besides the
-// matrix–vector product; the paper notes (Section 4) that vector summation
-// parallelizes well enough that it has "almost no influence on the overall
-// execution time", and these kernels reproduce that behaviour.
-//
-// They sit inside every power/Lanczos iteration, so they are written to the
-// same kernel-floor discipline as the butterfly stages (see DESIGN.md §5.6):
-// each launch dispatches CHUNK bodies, not per-element closures — the old
-// ReduceSum(func(i)…) form paid an indirect call per element — and each
-// chunk body is a bounds-check-eliminated loop unrolled 4-wide.
+	"repro/internal/vec"
+)
+
+// This file provides the BLAS-1 kernels of the solvers — the paper notes
+// (Section 4) that vector summation parallelizes well enough that it has
+// "almost no influence on the overall execution time". They are the ONE
+// vector-kernel path: every method accepts a nil *Device, which runs the
+// same block loop inline, so serial and parallel solves share every
+// rounding decision. Each body is a bounds-check-eliminated loop unrolled
+// 4-wide (the kernel floor, DESIGN.md §5.6), and a launch allocates
+// nothing: operands travel by value in the pooled launch record (vecArgs),
+// block partials land in a buffer each Device allocates once.
 //
 // SUMMATION ORDER (the reduction contract): a reduction over [0, n) is
-// split into the device's chunks; within a chunk [lo, hi), accumulator
-// lane ℓ ∈ {0,1,2,3} sums elements lo+ℓ, lo+ℓ+4, lo+ℓ+8, …, the lanes
+// split into FIXED blocks [b·reduceBlock, (b+1)·reduceBlock) — the last
+// one possibly shorter — whatever the worker count. Within a block,
+// accumulator lane ℓ ∈ {0,1,2,3} sums elements lo+ℓ, lo+ℓ+4, …, the lanes
 // combine as ((s0+s1)+s2)+s3, and the ≤ 3 tail elements fold onto that in
-// index order. Chunk partials combine in ascending chunk order. The result
-// is therefore a pure function of (operands, n, chunk size): bit-identical
-// across runs and across schedules for a fixed Device, independent of
-// which worker executes which chunk. It differs from a strict serial left
-// fold by the usual O(ε·Σ|xᵢyᵢ|) regrouping error — the same reassociation
-// any chunked/parallel reduction already performed — and the solver
-// tolerances (≥1e-9) absorb it; tests pin the fixed-schedule bit-identity.
+// index order. Block partials are added in ascending block order starting
+// from 0. Parallel launches hand out whole blocks, so the result is a pure
+// function of (operands, n): bit-identical across runs, schedules AND
+// worker counts, including the nil (inline) Device. It differs from a
+// strict serial left fold by the usual O(ε·Σ|xᵢyᵢ|) regrouping error, which
+// the solver tolerances (≥ 1e-12) absorb.
 
-// reduceChunks reduces chunkFn over the device's chunk partition of [0, n),
-// combining the per-chunk partials with combine in ascending chunk order.
-func (d *Device) reduceChunks(n int, identity float64, chunkFn func(lo, hi int) float64, combine func(a, b float64) float64) float64 {
-	if n <= 0 {
-		return identity
-	}
-	d.reduceLaunches.Add(1)
-	chunk, nchunks := d.plan(n, d.grain)
-	if nchunks == 1 || d.workers == 1 {
-		return combine(identity, chunkFn(0, n))
-	}
-	partial := make([]float64, nchunks)
-	d.run(LaunchKindReduce, n, chunk, nchunks, func(lo, hi int) {
-		partial[lo/chunk] = chunkFn(lo, hi)
-	})
-	acc := identity
-	for _, p := range partial {
-		acc = combine(acc, p)
-	}
-	return acc
+// reduceBlock is the fixed reduction block length (32 KiB of float64s: one
+// L1-sized slab, and the default dispatch grain).
+const reduceBlock = 4096
+
+// vecOp selects the body of a vector kernel.
+type vecOp uint8
+
+const (
+	opDot        vecOp = iota // Σ x·y
+	opShiftDot                // Σ x·w′ and Σ w′², w′ = y − a·x
+	opResidScale              // Σ (w′ − b·x)², and y ← c·w′, w′ = y − a·x
+	opScale                   // x ← a·x (elementwise from here on)
+	opAXPBY                   // y ← a·x + b·y
+	opCopy                    // z ← x
+	opMul                     // z ← x ⊙ y
+)
+
+// vecArgs is one vector-kernel invocation: the operation and its operands.
+// A launch carries it by value inside the pooled launch record, so the
+// kernel body is a plain method rather than a closure over per-call
+// operands (which would be heap-allocated on every launch).
+type vecArgs struct {
+	op      vecOp
+	x, y, z []float64
+	a, b, c float64
+	partial []float64 // two partials per block of a parallel reduction
 }
 
-func addf(a, b float64) float64 { return a + b }
+// run executes the kernel over the element range [lo, hi): elementwise
+// kernels in one go, reductions block by block (lo is block-aligned),
+// storing each block's partials at the block's index.
+func (k *vecArgs) run(lo, hi int) {
+	if k.op >= opScale {
+		k.elementwise(lo, hi)
+		return
+	}
+	for b := lo; b < hi; b += reduceBlock {
+		i := 2 * (b / reduceBlock)
+		k.partial[i], k.partial[i+1] = k.block(b, min(b+reduceBlock, hi))
+	}
+}
 
-// dotChunk is Σ x[k]·y[k] over one chunk in the documented 4-lane order.
+// block returns the partial(s) of one reduction block [lo, hi).
+func (k *vecArgs) block(lo, hi int) (p, q float64) {
+	switch k.op {
+	case opDot:
+		return dotChunk(k.x[lo:hi], k.y[lo:hi]), 0
+	case opShiftDot:
+		return shiftDotChunk(k.x[lo:hi], k.y[lo:hi], k.a)
+	case opResidScale:
+		return residScaleChunk(k.x[lo:hi], k.y[lo:hi], k.a, k.b, k.c), 0
+	}
+	panic("device: not a reduction kernel")
+}
+
+// reduce evaluates a reduction kernel over the fixed blocks of [0, n) and
+// adds the block partials in ascending block order. A nil or one-worker
+// Device, or a single block, runs the block loop inline; otherwise whole
+// blocks are dispatched in chunks and their partials gathered in the
+// Device's buffer.
+func (d *Device) reduce(k vecArgs, n int) (s, t float64) {
+	if n <= 0 {
+		return 0, 0
+	}
+	if d != nil {
+		d.reduceLaunches.Add(1)
+	}
+	nb := (n + reduceBlock - 1) / reduceBlock
+	if d == nil || d.workers == 1 || nb == 1 {
+		for b := 0; b < n; b += reduceBlock {
+			p, q := k.block(b, min(b+reduceBlock, n))
+			s, t = s+p, t+q
+		}
+		return s, t
+	}
+	// A concurrent reduction on this Device holding the buffer gets its own.
+	owned := d.partialBusy.CompareAndSwap(false, true)
+	if owned && len(d.partial) >= 2*nb {
+		k.partial = d.partial
+	} else {
+		k.partial = make([]float64, 2*nb)
+		if owned {
+			d.partial = k.partial
+		}
+	}
+	per := max((nb+d.workers-1)/d.workers, (d.grain+reduceBlock-1)/reduceBlock)
+	d.run(LaunchKindReduce, n, per*reduceBlock, (nb+per-1)/per, nil, &k)
+	for i := 0; i < 2*nb; i += 2 {
+		s, t = s+k.partial[i], t+k.partial[i+1]
+	}
+	if owned {
+		d.partialBusy.Store(false)
+	}
+	return s, t
+}
+
+// elementwise runs an elementwise kernel over [0, n). Each element is
+// touched once with the same operation sequence whatever the partition, so
+// the chunking (one chunk per worker) never shows in the result.
+func (d *Device) elementwise(k vecArgs, n int) {
+	if n <= 0 {
+		return
+	}
+	if d == nil {
+		k.run(0, n)
+		return
+	}
+	d.launches.Add(1)
+	d.threadsTotal.Add(int64(n))
+	chunk, nchunks := d.plan(n, d.grain)
+	d.chunksTotal.Add(int64(nchunks))
+	d.run(LaunchKindRange, n, chunk, nchunks, nil, &k)
+}
+
+// sqrtSafe returns √s when the sum of squares s is a normal finite number.
+// When s came out 0, subnormal, Inf or NaN it returns the scaled norm of
+// y − a·x (of y when x is nil) instead, which costs a divide per element.
+func sqrtSafe(s float64, y, x []float64, a float64) float64 {
+	if s >= 0x1p-1022 && s <= math.MaxFloat64 {
+		return math.Sqrt(s)
+	}
+	return vec.ScaledNorm2(y, x, a)
+}
+
+// dotChunk is Σ x[k]·y[k] over one block in the documented 4-lane order.
 // The caller guarantees len(y) ≥ len(x); the re-slice makes the prover see
 // it, so the loop body runs without bounds checks.
 func dotChunk(x, y []float64) float64 {
@@ -74,163 +176,128 @@ func dotChunk(x, y []float64) float64 {
 	return s
 }
 
-// Dot returns xᵀy computed with a parallel reduction.
+// Dot returns xᵀy under the block reduction contract.
 func (d *Device) Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
 		panic("device: Dot length mismatch")
 	}
-	return d.reduceChunks(len(x), 0, func(lo, hi int) float64 {
-		return dotChunk(x[lo:hi], y[lo:hi])
-	}, addf)
-}
-
-// sumChunk is Σ x[k] over one chunk in the documented 4-lane order.
-func sumChunk(x []float64) float64 {
-	var s0, s1, s2, s3 float64
-	for len(x) >= 4 {
-		s0 += x[0]
-		s1 += x[1]
-		s2 += x[2]
-		s3 += x[3]
-		x = x[4:]
-	}
-	s := ((s0 + s1) + s2) + s3
-	for len(x) > 0 {
-		s += x[0]
-		x = x[1:]
-	}
+	s, _ := d.reduce(vecArgs{op: opDot, x: x, y: y}, len(x))
 	return s
 }
 
-// Sum returns Σ xᵢ computed with a parallel reduction.
-func (d *Device) Sum(x []float64) float64 {
-	return d.reduceChunks(len(x), 0, func(lo, hi int) float64 {
-		return sumChunk(x[lo:hi])
-	}, addf)
-}
-
-// norm1Chunk is Σ |x[k]| over one chunk in the documented 4-lane order.
-func norm1Chunk(x []float64) float64 {
-	var s0, s1, s2, s3 float64
-	for len(x) >= 4 {
-		s0 += math.Abs(x[0])
-		s1 += math.Abs(x[1])
-		s2 += math.Abs(x[2])
-		s3 += math.Abs(x[3])
-		x = x[4:]
-	}
-	s := ((s0 + s1) + s2) + s3
-	for len(x) > 0 {
-		s += math.Abs(x[0])
-		x = x[1:]
-	}
-	return s
-}
-
-// Norm1 returns ‖x‖₁ computed with a parallel reduction.
-func (d *Device) Norm1(x []float64) float64 {
-	return d.reduceChunks(len(x), 0, func(lo, hi int) float64 {
-		return norm1Chunk(x[lo:hi])
-	}, addf)
-}
-
-// norm2SqChunk is Σ x[k]² over one chunk in the documented 4-lane order.
-func norm2SqChunk(x []float64) float64 {
-	var s0, s1, s2, s3 float64
-	for len(x) >= 4 {
-		s0 += x[0] * x[0]
-		s1 += x[1] * x[1]
-		s2 += x[2] * x[2]
-		s3 += x[3] * x[3]
-		x = x[4:]
-	}
-	s := ((s0 + s1) + s2) + s3
-	for len(x) > 0 {
-		s += x[0] * x[0]
-		x = x[1:]
-	}
-	return s
-}
-
-// Norm2 returns ‖x‖₂ computed with a parallel reduction over squares.
-// Unlike the serially scaled vec.Norm2 it can overflow for entries near
-// √MaxFloat64; quasispecies concentration vectors are bounded by 1 so this
-// is not a concern on solver paths.
+// Norm2 returns ‖x‖₂ as the square root of the block-reduced xᵀx, falling
+// back to a scaled norm only when that sum under- or overflows.
 func (d *Device) Norm2(x []float64) float64 {
-	return math.Sqrt(d.reduceChunks(len(x), 0, func(lo, hi int) float64 {
-		return norm2SqChunk(x[lo:hi])
-	}, addf))
-}
-
-// normInfChunk is max |x[k]| over one chunk. Max is associative and
-// commutative, so the 4-lane split is exact, not just deterministic; NaNs
-// propagate through math.Max exactly as in the serial fold.
-func normInfChunk(x []float64) float64 {
-	var s0, s1, s2, s3 float64
-	for len(x) >= 4 {
-		s0 = math.Max(s0, math.Abs(x[0]))
-		s1 = math.Max(s1, math.Abs(x[1]))
-		s2 = math.Max(s2, math.Abs(x[2]))
-		s3 = math.Max(s3, math.Abs(x[3]))
-		x = x[4:]
-	}
-	s := math.Max(math.Max(s0, s1), math.Max(s2, s3))
-	for len(x) > 0 {
-		s = math.Max(s, math.Abs(x[0]))
-		x = x[1:]
-	}
-	return s
-}
-
-// NormInf returns ‖x‖∞ computed with a parallel max-reduction.
-func (d *Device) NormInf(x []float64) float64 {
-	return d.reduceChunks(len(x), 0, func(lo, hi int) float64 {
-		return normInfChunk(x[lo:hi])
-	}, math.Max)
-}
-
-// residSqChunk is Σ (w[k] − λ·x[k])² over one chunk in the documented
-// 4-lane order.
-func residSqChunk(w, x []float64, lambda float64) float64 {
-	x = x[:len(w)]
-	var s0, s1, s2, s3 float64
-	for len(w) >= 4 && len(x) >= 4 {
-		r0 := w[0] - lambda*x[0]
-		r1 := w[1] - lambda*x[1]
-		r2 := w[2] - lambda*x[2]
-		r3 := w[3] - lambda*x[3]
-		s0 += r0 * r0
-		s1 += r1 * r1
-		s2 += r2 * r2
-		s3 += r3 * r3
-		w, x = w[4:], x[4:]
-	}
-	s := ((s0 + s1) + s2) + s3
-	for len(w) > 0 && len(x) > 0 {
-		r := w[0] - lambda*x[0]
-		s += r * r
-		w, x = w[1:], x[1:]
-	}
-	return s
+	return sqrtSafe(d.Dot(x, x), x, nil, 0)
 }
 
 // ResidualNorm2 returns ‖w − λx‖₂, the power-iteration residual
-// R(λ̃, x̃) of the paper, in one fused parallel pass over the operands.
+// R(λ̃, x̃) of the paper, in one fused pass over the operands (the sum of
+// squares of pass A with shift λ).
 func (d *Device) ResidualNorm2(w, x []float64, lambda float64) float64 {
 	if len(w) != len(x) {
 		panic("device: ResidualNorm2 length mismatch")
 	}
-	return math.Sqrt(d.reduceChunks(len(w), 0, func(lo, hi int) float64 {
-		return residSqChunk(w[lo:hi], x[lo:hi], lambda)
-	}, addf))
+	_, s := d.reduce(vecArgs{op: opShiftDot, x: x, y: w, a: lambda}, len(w))
+	return math.Sqrt(s)
 }
 
-// Scale multiplies x by a in place with a parallel kernel. The 4-wide
-// unroll touches each element exactly once with the same single multiply,
-// so results are bit-identical to the scalar loop.
-func (d *Device) Scale(x []float64, a float64) {
-	d.LaunchRange(len(x), func(lo, hi int) {
-		s := x[lo:hi]
+// shiftDotChunk returns Σ x[k]·w′[k] and Σ w′[k]² over one block, with
+// w′ = w − µx formed in registers, both in the documented 4-lane order.
+func shiftDotChunk(x, w []float64, mu float64) (dot, sq float64) {
+	w = w[:len(x)]
+	var d0, d1, d2, d3, q0, q1, q2, q3 float64
+	for len(x) >= 4 && len(w) >= 4 {
+		v0 := w[0] - mu*x[0]
+		v1 := w[1] - mu*x[1]
+		v2 := w[2] - mu*x[2]
+		v3 := w[3] - mu*x[3]
+		d0 += x[0] * v0
+		d1 += x[1] * v1
+		d2 += x[2] * v2
+		d3 += x[3] * v3
+		q0 += v0 * v0
+		q1 += v1 * v1
+		q2 += v2 * v2
+		q3 += v3 * v3
+		x, w = x[4:], w[4:]
+	}
+	dot, sq = ((d0+d1)+d2)+d3, ((q0+q1)+q2)+q3
+	for len(x) > 0 && len(w) > 0 {
+		v := w[0] - mu*x[0]
+		dot += x[0] * v
+		sq += v * v
+		x, w = x[1:], w[1:]
+	}
+	return dot, sq
+}
+
+// ShiftDotNorm is pass A of the fused power step. For the shifted product
+// w′ = w − µx, formed in registers and never stored, it returns the
+// Rayleigh numerator xᵀw′ and ‖w′‖₂ from one read of x and w. The norm is
+// the square root of the block-reduced sum of squares unless that sum
+// comes out 0, subnormal, Inf or NaN; then a scaled pass recomputes it.
+func (d *Device) ShiftDotNorm(x, w []float64, mu float64) (dot, norm float64) {
+	if len(x) != len(w) {
+		panic("device: ShiftDotNorm length mismatch")
+	}
+	dot, sq := d.reduce(vecArgs{op: opShiftDot, x: x, y: w, a: mu}, len(x))
+	return dot, sqrtSafe(sq, w, x, mu)
+}
+
+// residScaleChunk returns Σ (w′[k] − λ·x[k])² over one block in the
+// documented 4-lane order, with w′ = w − µx formed in registers, and
+// overwrites w with s·w′.
+func residScaleChunk(x, w []float64, mu, lambda, s float64) float64 {
+	w = w[:len(x)]
+	var s0, s1, s2, s3 float64
+	for len(x) >= 4 && len(w) >= 4 {
+		v0 := w[0] - mu*x[0]
+		v1 := w[1] - mu*x[1]
+		v2 := w[2] - mu*x[2]
+		v3 := w[3] - mu*x[3]
+		r0 := v0 - lambda*x[0]
+		r1 := v1 - lambda*x[1]
+		r2 := v2 - lambda*x[2]
+		r3 := v3 - lambda*x[3]
+		s0 += r0 * r0
+		s1 += r1 * r1
+		s2 += r2 * r2
+		s3 += r3 * r3
+		w[0], w[1], w[2], w[3] = v0*s, v1*s, v2*s, v3*s
+		x, w = x[4:], w[4:]
+	}
+	acc := ((s0 + s1) + s2) + s3
+	for len(x) > 0 && len(w) > 0 {
+		v := w[0] - mu*x[0]
+		r := v - lambda*x[0]
+		acc += r * r
+		w[0] = v * s
+		x, w = x[1:], w[1:]
+	}
+	return acc
+}
+
+// ResidualScale is pass B of the fused power step. With w′ = w − µx formed
+// in registers it returns the residual ‖w′ − λx‖₂, accumulated directly
+// (never as the cancelling ‖w′‖² − λ²), and overwrites w with s·w′ — the
+// next iterate when s = 1/‖w′‖₂.
+func (d *Device) ResidualScale(x, w []float64, mu, lambda, s float64) float64 {
+	if len(x) != len(w) {
+		panic("device: ResidualScale length mismatch")
+	}
+	r, _ := d.reduce(vecArgs{op: opResidScale, x: x, y: w, a: mu, b: lambda, c: s}, len(x))
+	return math.Sqrt(r)
+}
+
+// elementwise applies an elementwise kernel to [lo, hi). The 4-wide
+// unrolls touch each element once with the same single operation as the
+// scalar loop, so they are bit-identical to it.
+func (k *vecArgs) elementwise(lo, hi int) {
+	a := k.a
+	switch k.op {
+	case opScale:
+		s := k.x[lo:hi]
 		for len(s) >= 4 {
 			s[0] *= a
 			s[1] *= a
@@ -242,49 +309,23 @@ func (d *Device) Scale(x []float64, a float64) {
 			s[0] *= a
 			s = s[1:]
 		}
-	})
-}
-
-// AXPY computes y ← a·x + y in place with a parallel kernel. Element-wise,
-// so the unroll is bit-identical to the scalar loop.
-func (d *Device) AXPY(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("device: AXPY length mismatch")
-	}
-	d.LaunchRange(len(x), func(lo, hi int) {
-		xs, ys := x[lo:hi], y[lo:hi]
+	case opAXPBY:
+		b, xs, ys := k.b, k.x[lo:hi], k.y[lo:hi]
 		for len(xs) >= 4 && len(ys) >= 4 {
-			ys[0] += a * xs[0]
-			ys[1] += a * xs[1]
-			ys[2] += a * xs[2]
-			ys[3] += a * xs[3]
+			ys[0] = a*xs[0] + b*ys[0]
+			ys[1] = a*xs[1] + b*ys[1]
+			ys[2] = a*xs[2] + b*ys[2]
+			ys[3] = a*xs[3] + b*ys[3]
 			xs, ys = xs[4:], ys[4:]
 		}
 		for len(xs) > 0 && len(ys) > 0 {
-			ys[0] += a * xs[0]
+			ys[0] = a*xs[0] + b*ys[0]
 			xs, ys = xs[1:], ys[1:]
 		}
-	})
-}
-
-// Copy copies src into dst with a parallel kernel.
-func (d *Device) Copy(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic("device: Copy length mismatch")
-	}
-	d.LaunchRange(len(dst), func(lo, hi int) {
-		copy(dst[lo:hi], src[lo:hi])
-	})
-}
-
-// Mul computes dst ← x ⊙ y elementwise with a parallel kernel.
-// dst may alias x or y.
-func (d *Device) Mul(dst, x, y []float64) {
-	if len(x) != len(y) || len(dst) != len(x) {
-		panic("device: Mul length mismatch")
-	}
-	d.LaunchRange(len(dst), func(lo, hi int) {
-		ds, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
+	case opCopy:
+		copy(k.z[lo:hi], k.x[lo:hi])
+	case opMul:
+		ds, xs, ys := k.z[lo:hi], k.x[lo:hi], k.y[lo:hi]
 		for len(ds) >= 4 && len(xs) >= 4 && len(ys) >= 4 {
 			ds[0] = xs[0] * ys[0]
 			ds[1] = xs[1] * ys[1]
@@ -296,5 +337,38 @@ func (d *Device) Mul(dst, x, y []float64) {
 			ds[0] = xs[0] * ys[0]
 			ds, xs, ys = ds[1:], xs[1:], ys[1:]
 		}
-	})
+	}
+}
+
+// Scale multiplies x by a in place.
+func (d *Device) Scale(x []float64, a float64) {
+	d.elementwise(vecArgs{op: opScale, x: x, a: a}, len(x))
+}
+
+// AXPY computes y ← a·x + y in place.
+func (d *Device) AXPY(a float64, x, y []float64) { d.AXPBY(a, x, 1, y) }
+
+// AXPBY computes y ← a·x + b·y in place. With b = 1 the product 1·y is
+// exact, so AXPY rounds exactly like the plain y + a·x.
+func (d *Device) AXPBY(a float64, x []float64, b float64, y []float64) {
+	if len(x) != len(y) {
+		panic("device: AXPBY length mismatch")
+	}
+	d.elementwise(vecArgs{op: opAXPBY, x: x, y: y, a: a, b: b}, len(x))
+}
+
+// Copy copies src into dst.
+func (d *Device) Copy(dst, src []float64) {
+	if len(dst) != len(src) {
+		panic("device: Copy length mismatch")
+	}
+	d.elementwise(vecArgs{op: opCopy, x: src, z: dst}, len(dst))
+}
+
+// Mul computes dst ← x ⊙ y elementwise. dst may alias x or y.
+func (d *Device) Mul(dst, x, y []float64) {
+	if len(x) != len(y) || len(dst) != len(x) {
+		panic("device: Mul length mismatch")
+	}
+	d.elementwise(vecArgs{op: opMul, x: x, y: y, z: dst}, len(dst))
 }

@@ -34,25 +34,27 @@ func TestChunkKernelsMatchDocumentedOrder(t *testing.T) {
 		if got, want := dotChunk(x, y), refFourLane(n, func(k int) float64 { return x[k] * y[k] }); got != want {
 			t.Errorf("n=%d: dotChunk = %v, want %v (order contract)", n, got, want)
 		}
-		if got, want := sumChunk(x), refFourLane(n, func(k int) float64 { return x[k] }); got != want {
-			t.Errorf("n=%d: sumChunk = %v, want %v", n, got, want)
+		mu, lambda, sc := 0.37, 0.81, 1.25
+		wp := func(k int) float64 { return y[k] - mu*x[k] }
+		dot, sq := shiftDotChunk(x, y, mu)
+		if want := refFourLane(n, func(k int) float64 { return x[k] * wp(k) }); dot != want {
+			t.Errorf("n=%d: shiftDotChunk dot = %v, want %v", n, dot, want)
 		}
-		if got, want := norm1Chunk(x), refFourLane(n, func(k int) float64 { return math.Abs(x[k]) }); got != want {
-			t.Errorf("n=%d: norm1Chunk = %v, want %v", n, got, want)
+		if want := refFourLane(n, func(k int) float64 { return wp(k) * wp(k) }); sq != want {
+			t.Errorf("n=%d: shiftDotChunk sum of squares = %v, want %v", n, sq, want)
 		}
-		if got, want := norm2SqChunk(x), refFourLane(n, func(k int) float64 { return x[k] * x[k] }); got != want {
-			t.Errorf("n=%d: norm2SqChunk = %v, want %v", n, got, want)
-		}
-		lambda := 0.37
-		if got, want := residSqChunk(x, y, lambda), refFourLane(n, func(k int) float64 {
-			r := x[k] - lambda*y[k]
+		yy := append([]float64(nil), y...)
+		res := residScaleChunk(x, yy, mu, lambda, sc)
+		if want := refFourLane(n, func(k int) float64 {
+			r := wp(k) - lambda*x[k]
 			return r * r
-		}); got != want {
-			t.Errorf("n=%d: residSqChunk = %v, want %v", n, got, want)
+		}); res != want {
+			t.Errorf("n=%d: residScaleChunk = %v, want %v", n, res, want)
 		}
-		// Max is exactly order-independent; still must equal the serial max.
-		if got, want := normInfChunk(x), vec.NormInf(x); got != want {
-			t.Errorf("n=%d: normInfChunk = %v, want %v", n, got, want)
+		for k := range yy {
+			if yy[k] != wp(k)*sc {
+				t.Fatalf("n=%d: residScaleChunk wrote %v at %d, want %v", n, yy[k], k, wp(k)*sc)
+			}
 		}
 	}
 }
@@ -62,11 +64,10 @@ func TestReductionsBitIdenticalAcrossRuns(t *testing.T) {
 	n := 100003 // odd: exercises chunk tails
 	x, y := randVec(r, n), randVec(r, n)
 	for name, d := range devices() {
-		dot, sum, n1, n2, ninf := d.Dot(x, y), d.Sum(x), d.Norm1(x), d.Norm2(x), d.NormInf(x)
+		dot, n2 := d.Dot(x, y), d.Norm2(x)
 		res := d.ResidualNorm2(x, y, 0.4)
 		for run := 0; run < 20; run++ {
-			if d.Dot(x, y) != dot || d.Sum(x) != sum || d.Norm1(x) != n1 ||
-				d.Norm2(x) != n2 || d.NormInf(x) != ninf || d.ResidualNorm2(x, y, 0.4) != res {
+			if d.Dot(x, y) != dot || d.Norm2(x) != n2 || d.ResidualNorm2(x, y, 0.4) != res {
 				t.Fatalf("%s: reduction not bit-identical across runs (run %d)", name, run)
 			}
 		}
@@ -121,6 +122,105 @@ func TestElementwiseKernelsBitIdenticalToVec(t *testing.T) {
 			d.Mul(md, xd, yd)
 			if n > 0 && vec.DistInf(ms, md) != 0 {
 				t.Fatalf("%s n=%d: Mul not bit-identical to vec.Mul", name, n)
+			}
+		}
+	}
+}
+
+// TestReductionsBitIdenticalAcrossWorkers pins the fixed-block contract:
+// the nil (inline) Device and every worker count and grain give the same
+// bits, because blocks — not chunks — fix the summation order.
+func TestReductionsBitIdenticalAcrossWorkers(t *testing.T) {
+	r := rng.New(19)
+	for _, n := range []int{1, 4095, 4096, 4097, 3*reduceBlock + 5, 1 << 16, 100003} {
+		x, y := randVec(r, n), randVec(r, n)
+		var nilDev *Device
+		wantDot, wantN2, wantRes := nilDev.Dot(x, y), nilDev.Norm2(x), nilDev.ResidualNorm2(x, y, 0.4)
+		wantA, wantB := nilDev.ShiftDotNorm(x, y, 0.3)
+		for _, d := range []*Device{New(1), New(2), New(3), New(4, WithGrain(1)), New(7, WithGrain(13))} {
+			gotA, gotB := d.ShiftDotNorm(x, y, 0.3)
+			if d.Dot(x, y) != wantDot || d.Norm2(x) != wantN2 || d.ResidualNorm2(x, y, 0.4) != wantRes ||
+				gotA != wantA || gotB != wantB {
+				t.Fatalf("n=%d %v: reduction differs from the inline Device", n, d)
+			}
+		}
+	}
+}
+
+// TestFusedPowerPassesMatchUnfused checks passes A and B against the
+// unfused sequence they replace — store w′ = w − µx, then Dot, Norm2,
+// ResidualNorm2 and a scale — bit for bit.
+func TestFusedPowerPassesMatchUnfused(t *testing.T) {
+	r := rng.New(23)
+	const mu = 0.37
+	for _, n := range []int{1, 7, 4096, 3*reduceBlock + 3} {
+		x, w := randVec(r, n), randVec(r, n)
+		for _, d := range []*Device{nil, New(2, WithGrain(8))} {
+			wp := append([]float64(nil), w...)
+			d.AXPY(-mu, x, wp)
+			dot, nrm := d.ShiftDotNorm(x, w, mu)
+			if dot != d.Dot(x, wp) || nrm != d.Norm2(wp) {
+				t.Fatalf("n=%d: pass A = (%v, %v), unfused (%v, %v)", n, dot, nrm, d.Dot(x, wp), d.Norm2(wp))
+			}
+			got := append([]float64(nil), w...)
+			res := d.ResidualScale(x, got, mu, dot, 1/nrm)
+			if want := d.ResidualNorm2(wp, x, dot); res != want {
+				t.Fatalf("n=%d: pass B residual %v, unfused %v", n, res, want)
+			}
+			d.Scale(wp, 1/nrm)
+			if vec.DistInf(got, wp) != 0 {
+				t.Fatalf("n=%d: pass B iterate differs from the unfused rescale", n)
+			}
+		}
+	}
+}
+
+func TestVectorKernelsDoNotAllocate(t *testing.T) {
+	const n = 1 << 16
+	r := rng.New(29)
+	x, y := randVec(r, n), randVec(r, n)
+	d := New(2)
+	d.Dot(x, y) // the first reduction sizes the partial buffer
+	var sink float64
+	for name, f := range map[string]func(){
+		"Dot":           func() { sink += d.Dot(x, y) },
+		"AXPY":          func() { d.AXPY(1e-300, x, y) },
+		"Norm2":         func() { sink += d.Norm2(x) },
+		"ShiftDotNorm":  func() { a, b := d.ShiftDotNorm(x, y, 0.5); sink += a + b },
+		"ResidualScale": func() { sink += d.ResidualScale(x, y, 0, 0, 1) },
+		"Mul":           func() { d.Mul(y, x, y) },
+	} {
+		if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
+			t.Errorf("2-worker %s allocates %.0f objects per call", name, allocs)
+		}
+	}
+	_ = sink
+}
+
+// TestNorm2OverflowGuard covers the fallback of the sum-of-squares norms:
+// entries whose squares overflow or underflow (or are subnormal) must still
+// give the scaled norm's answer, and the zero vector 0.
+func TestNorm2OverflowGuard(t *testing.T) {
+	sub := math.SmallestNonzeroFloat64 * 3
+	cases := []struct {
+		name string
+		x    []float64
+		want float64
+	}{
+		{"huge", []float64{3e200, -4e200}, 5e200},
+		{"tiny", []float64{3e-200, 4e-200}, 5e-200},
+		{"subnormal", []float64{3 * sub, 4 * sub}, 5 * sub},
+		{"zero", make([]float64, 9), 0},
+		{"mixed", []float64{1e200, 1e-200}, 1e200},
+	}
+	for _, c := range cases {
+		for _, d := range []*Device{nil, New(2, WithGrain(1))} {
+			if got := d.Norm2(c.x); math.Abs(got-c.want) > 1e-15*c.want {
+				t.Errorf("%s: Device Norm2 = %v, want %v", c.name, got, c.want)
+			}
+			zero := make([]float64, len(c.x))
+			if _, got := d.ShiftDotNorm(zero, c.x, 0.5); math.Abs(got-c.want) > 1e-15*c.want {
+				t.Errorf("%s: ShiftDotNorm norm = %v, want %v", c.name, got, c.want)
 			}
 		}
 	}

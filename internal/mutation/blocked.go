@@ -115,8 +115,17 @@ func splitStages(n, off0, nStages, tb int) (B, nSmall int) {
 // the small strides and fused row-block passes for the large ones. The
 // result is bit-identical to applying the stages one full pass at a time.
 func applyStagesBlocked(v []float64, off0 int, fs []Factor2, tb, fuse int) {
+	applyStagesBlockedFrom(v, nil, nil, off0, fs, tb, fuse)
+}
+
+// applyStagesBlockedFrom is applyStagesBlocked on v ← f ⊙ src when f is
+// non-nil: each tile of the first pass is formed as f⊙src while it is
+// cache-resident, right before its stages run, so the diagonal prescale of
+// the Right form costs no pass over N of its own. The prologue is
+// elementwise and hence bit-identical to scaling first. v may alias src.
+func applyStagesBlockedFrom(v, src, f []float64, off0 int, fs []Factor2, tb, fuse int) {
 	n := len(v)
-	if n == 0 || len(fs) == 0 {
+	if n == 0 {
 		return
 	}
 	if fuse < 1 {
@@ -126,9 +135,15 @@ func applyStagesBlocked(v []float64, off0 int, fs []Factor2, tb, fuse int) {
 		fuse = maxFuseStages
 	}
 	B, nSmall := splitStages(n, off0, len(fs), tb)
+	if f != nil && nSmall == 0 {
+		inline.Mul(v, src, f)
+	}
 	if nSmall > 0 {
 		small := fs[:nSmall]
 		for t := 0; t < n; t += B {
+			if f != nil {
+				inline.Mul(v[t:t+B], src[t:t+B], f[t:t+B])
+			}
 			tileStages(v[t:t+B], off0, small)
 		}
 	}
@@ -142,13 +157,14 @@ func applyStagesBlocked(v []float64, off0 int, fs []Factor2, tb, fuse int) {
 	}
 }
 
-// applyStagesBlockedDevice is applyStagesBlocked with each fused pass
+// applyStagesBlockedDevice is applyStagesBlockedFrom with each fused pass
 // dispatched as one device launch: tiles (resp. row groups) are mutually
 // independent across the whole stage group, so a single barrier per group
-// replaces the per-stage barrier of Algorithm 2.
-func applyStagesBlockedDevice(d *device.Device, v []float64, off0 int, fs []Factor2, tb, fuse int) {
+// replaces the per-stage barrier of Algorithm 2. The f⊙src prologue runs
+// inside the tile launch.
+func applyStagesBlockedDevice(d *device.Device, v, src, f []float64, off0 int, fs []Factor2, tb, fuse int) {
 	n := len(v)
-	if n == 0 || len(fs) == 0 {
+	if n == 0 {
 		return
 	}
 	if fuse < 1 {
@@ -158,31 +174,86 @@ func applyStagesBlockedDevice(d *device.Device, v []float64, off0 int, fs []Fact
 		fuse = maxFuseStages
 	}
 	B, nSmall := splitStages(n, off0, len(fs), tb)
+	l := getStageLaunch()
+	l.v, l.B, l.off0 = v, B, off0
+	if f != nil && nSmall == 0 {
+		d.Mul(v, src, f)
+	}
 	if nSmall > 0 {
-		small := fs[:nSmall]
-		d.LaunchStages(nSmall, n/B, B, func(lo, hi int) {
-			for t := lo; t < hi; t++ {
-				tileStages(v[t*B:(t+1)*B], off0, small)
-			}
-		})
+		l.src, l.f, l.fs = src, f, fs[:nSmall]
+		d.LaunchStages(nSmall, n/B, B, l.tiles)
+		l.src, l.f = nil, nil
 	}
 	for s := nSmall; s < len(fs); {
 		m := len(fs) - s
 		if m > fuse {
 			m = fuse
 		}
-		k0 := off0 + s
-		group := fs[s : s+m]
-		rb0 := k0 - log2(B)
-		lowMask := 1<<uint(rb0) - 1
+		l.fs, l.m = fs[s:s+m], m
+		l.rb0 = off0 + s - log2(B)
+		l.lowMask = 1<<uint(l.rb0) - 1
 		nBases := (n >> uint(log2(B))) >> uint(m)
-		d.LaunchStages(m, nBases, B<<uint(m), func(lo, hi int) {
-			for bb := lo; bb < hi; bb++ {
-				base := ((bb &^ lowMask) << uint(m)) | (bb & lowMask)
-				crossGroup(v, B, base, rb0, group)
-			}
-		})
+		d.LaunchStages(m, nBases, B<<uint(m), l.cross)
 		s += m
+	}
+	l.release()
+}
+
+// stageLaunch binds the operands of the fused stage-group launches of one
+// transform, so the kernels handed to LaunchStages are method values built
+// once per record rather than closures allocated on every launch. Records
+// cycle through a free list; a launch has finished every chunk when
+// LaunchStages returns, so the record can be reused right after.
+type stageLaunch struct {
+	v, src, f       []float64
+	fs              []Factor2
+	B, off0, rb0, m int
+	lowMask         int
+	tiles, cross    func(lo, hi int)
+}
+
+var stageLaunches = make(chan *stageLaunch, 16)
+
+// inline runs the device's elementwise kernels on the calling goroutine
+// (a nil Device); the tile prologue uses its Mul.
+var inline *device.Device
+
+func getStageLaunch() *stageLaunch {
+	select {
+	case l := <-stageLaunches:
+		return l
+	default:
+		l := new(stageLaunch)
+		l.tiles, l.cross = l.runTiles, l.runCross
+		return l
+	}
+}
+
+func (l *stageLaunch) release() {
+	l.v, l.src, l.f, l.fs = nil, nil, nil, nil
+	select {
+	case stageLaunches <- l:
+	default:
+	}
+}
+
+// runTiles runs the tile pass over tiles [lo, hi), with the f⊙src
+// prologue when f is set.
+func (l *stageLaunch) runTiles(lo, hi int) {
+	B := l.B
+	for t := lo * B; t < hi*B; t += B {
+		if l.f != nil {
+			inline.Mul(l.v[t:t+B], l.src[t:t+B], l.f[t:t+B])
+		}
+		tileStages(l.v[t:t+B], l.off0, l.fs)
+	}
+}
+
+// runCross runs the fused cross-stage group over row bases [lo, hi).
+func (l *stageLaunch) runCross(lo, hi int) {
+	for bb := lo; bb < hi; bb++ {
+		base := ((bb &^ l.lowMask) << uint(l.m)) | (bb & l.lowMask)
+		crossGroup(l.v, l.B, base, l.rb0, l.fs)
 	}
 }
 

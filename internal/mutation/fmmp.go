@@ -25,6 +25,22 @@ import (
 // result is bit-identical to ApplyNaive. It panics if len(v) != 2^ν.
 func (q *Process) Apply(v []float64) {
 	q.checkDim(len(v))
+	q.apply(v, nil, nil)
+}
+
+// ApplyScaled computes dst ← Q·(f ⊙ src), the Right-form product Q·F·src,
+// with the diagonal scaling folded into the first tile pass as a per-tile
+// prologue instead of a separate pass over N. The result is bit-identical
+// to scaling first and then calling Apply. dst may alias src.
+func (q *Process) ApplyScaled(dst, src, f []float64) {
+	q.checkDim(len(dst))
+	q.checkDim(len(src))
+	q.checkDim(len(f))
+	q.apply(dst, src, f)
+}
+
+// apply is Apply on v ← f ⊙ src (just v when f is nil).
+func (q *Process) apply(v, src, f []float64) {
 	h := kernelObs.Load()
 	sr := span.Installed()
 	var sp span.Handle
@@ -45,18 +61,22 @@ func (q *Process) Apply(v []float64) {
 			gsp = sr.Begin(span.LayerMutation, KindStageGroup)
 		}
 		if s.grp < 0 {
-			applyStagesBlocked(v, s.off0, s.fs, tb, fuseStages)
+			applyStagesBlockedFrom(v, src, f, s.off0, s.fs, tb, fuseStages)
 			span.End(gsp, int64(len(s.fs)), 1)
 			if h != nil {
 				h.span(KindStageGroup, len(s.fs), 1, t0)
 			}
 		} else {
+			if f != nil {
+				inline.Mul(v, src, f)
+			}
 			q.applyGroupSerial(q.groups[s.grp], v)
 			span.End(gsp, int64(q.groups[s.grp].bitsLen), 1)
 			if h != nil {
 				h.span(KindStageGroup, q.groups[s.grp].bitsLen, 1, t0)
 			}
 		}
+		f = nil // the prescale is the first segment's prologue only
 	}
 	span.End(sp, int64(q.nu), 1)
 }
@@ -127,6 +147,21 @@ func (q *Process) recurse(v []float64, level int) []float64 {
 // the serial blocked path bit-identically.
 func (q *Process) ApplyDevice(d *device.Device, v []float64) {
 	q.checkDim(len(v))
+	q.applyDevice(d, v, nil, nil)
+}
+
+// ApplyScaledDevice is ApplyScaled on the device runtime: the f ⊙ src
+// prologue runs inside the first tile launch, so there is no separate
+// elementwise launch. dst may alias src.
+func (q *Process) ApplyScaledDevice(d *device.Device, dst, src, f []float64) {
+	q.checkDim(len(dst))
+	q.checkDim(len(src))
+	q.checkDim(len(f))
+	q.applyDevice(d, dst, src, f)
+}
+
+// applyDevice is ApplyDevice on v ← f ⊙ src (just v when f is nil).
+func (q *Process) applyDevice(d *device.Device, v, src, f []float64) {
 	h := kernelObs.Load()
 	sp := span.Begin(span.LayerMutation, KindApplyDevice)
 	if h != nil {
@@ -135,10 +170,14 @@ func (q *Process) ApplyDevice(d *device.Device, v []float64) {
 	tb := TileBits()
 	for _, s := range q.segs {
 		if s.grp < 0 {
-			applyStagesBlockedDevice(d, v, s.off0, s.fs, tb, fuseStages)
+			applyStagesBlockedDevice(d, v, src, f, s.off0, s.fs, tb, fuseStages)
 		} else {
+			if f != nil {
+				d.Mul(v, src, f)
+			}
 			q.applyGroupDevice(d, q.groups[s.grp], v)
 		}
+		f = nil // the prescale is the first segment's prologue only
 	}
 	span.End(sp, int64(q.nu), 1)
 }

@@ -772,10 +772,10 @@ type dumpSummary struct {
 // table and Chrome trace — into a fresh directory under the flight's
 // bundle dir, named "<runID>-<seq>-<reason>". It returns the directory
 // path; an empty path with nil error means the per-run bundle cap was
-// reached.
+// reached. Bundles lists the directory only once the bundle is written.
 func (f *FlightRecorder) DumpBundle(reason string, extra map[string]any) (string, error) {
 	f.mu.Lock()
-	if len(f.bundles) >= f.cfg.MaxBundles {
+	if f.seq >= f.cfg.MaxBundles {
 		f.mu.Unlock()
 		f.NoteDecision("bundle", "", "bundle cap reached, dump skipped: "+reason, 0)
 		return "", nil
@@ -783,7 +783,6 @@ func (f *FlightRecorder) DumpBundle(reason string, extra map[string]any) (string
 	f.seq++
 	seq := f.seq
 	dir := filepath.Join(f.cfg.Dir, fmt.Sprintf("%s-%03d-%s", f.manifest.RunID, seq, reason))
-	f.bundles = append(f.bundles, dir)
 	f.mu.Unlock()
 
 	if c := f.mBundles[reason]; c != nil {
@@ -839,6 +838,9 @@ func (f *FlightRecorder) DumpBundle(reason string, extra map[string]any) (string
 	} else {
 		keep(err)
 	}
+	f.mu.Lock()
+	f.bundles = append(f.bundles, dir)
+	f.mu.Unlock()
 	return dir, firstErr
 }
 

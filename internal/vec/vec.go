@@ -86,10 +86,29 @@ func Norm1(x []float64) float64 {
 	return s
 }
 
-// Norm2 returns ‖x‖₂ with scaling to avoid premature overflow/underflow.
+// Norm2 returns ‖x‖₂ as the square root of a plain sum of squares, which
+// costs no divide; only when that sum under- or overflows (0, subnormal,
+// Inf or NaN) is the norm recomputed with scaling.
 func Norm2(x []float64) float64 {
-	var scale, ssq float64 = 0, 1
+	var s float64
 	for _, v := range x {
+		s += v * v
+	}
+	if s >= 0x1p-1022 && s <= math.MaxFloat64 {
+		return math.Sqrt(s)
+	}
+	return ScaledNorm2(x, nil, 0)
+}
+
+// ScaledNorm2 returns ‖y − a·x‖₂ (‖y‖₂ when x is nil) with LAPACK-style
+// running scaling, immune to premature overflow and underflow at the price
+// of a divide per element.
+func ScaledNorm2(y, x []float64, a float64) float64 {
+	var scale, ssq float64 = 0, 1
+	for i, v := range y {
+		if x != nil {
+			v -= a * x[i]
+		}
 		if v == 0 {
 			continue
 		}

@@ -250,3 +250,32 @@ func TestCauchySchwarz(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNorm2FallsBackOnlyWhenNeeded checks the guarded sum-of-squares norm
+// against exact answers where the plain sum overflows, underflows or goes
+// subnormal, and that it equals the plain square root otherwise.
+func TestNorm2FallsBackOnlyWhenNeeded(t *testing.T) {
+	sub := math.SmallestNonzeroFloat64 * 3
+	for _, c := range []struct {
+		x    []float64
+		want float64
+	}{
+		{[]float64{3e200, -4e200}, 5e200},
+		{[]float64{3e-200, 4e-200}, 5e-200},
+		{[]float64{3 * sub, 4 * sub}, 5 * sub},
+		{[]float64{0, 0, 0}, 0},
+		{nil, 0},
+		{[]float64{1e200, 1e-200}, 1e200},
+	} {
+		if got := Norm2(c.x); math.Abs(got-c.want) > 1e-15*c.want {
+			t.Errorf("Norm2(%v) = %v, want %v", c.x, got, c.want)
+		}
+		if got := ScaledNorm2(c.x, nil, 0); math.Abs(got-c.want) > 1e-15*c.want {
+			t.Errorf("ScaledNorm2(%v) = %v, want %v", c.x, got, c.want)
+		}
+	}
+	x := []float64{0.5, -1.25, 3, 1e-3}
+	if got, want := Norm2(x), math.Sqrt(0.25+1.5625+9+1e-6); got != want {
+		t.Errorf("Norm2 = %v, want the plain √Σx² %v", got, want)
+	}
+}
