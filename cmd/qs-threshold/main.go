@@ -41,7 +41,7 @@ func main() {
 		workers = flag.Int("workers", 1, "concurrent eigensolves (0/1 serial, -1 all cores); results are bit-identical at any count")
 		warm    = flag.Bool("warm", false, "warm-start each solve from the previous error rate's solution")
 		full    = flag.Bool("full", false, "solve the full 2^ν eigenproblem per point instead of the exact class reduction")
-		method  = flag.String("method", "power", "per-point eigensolver: power | auto | chebyshev | shiftinvert | lanczos (auto adapts per point: power far from the threshold, Krylov gears inside the critical window)")
+		method  = flag.String("method", "power", "per-point eigensolver: power | auto | chebyshev | shiftinvert | lanczos (auto picks per point the gear with the lower predicted cost; shift-invert where the gap probe cannot resolve λ₀ from λ₁)")
 
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:9190)")
 		traceFile  = flag.String("trace", "", "write per-point convergence traces to this file (.tsv or .jsonl; requires -full)")

@@ -189,21 +189,25 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 		}
 		ph := beginPhase(sr, PhaseChebPoly)
 		// z ← A'·x = (W·x − c·x)/e (degree 1), previous iterate is x (degree 0).
-		op.Apply(w, x)
+		// Each product leaves the operator's trailing diagonal scale (√F
+		// of the Symmetric form) to the recurrence kernel that consumes it,
+		// so a recurrence matvec is the butterflies plus one fused pass.
+		post := applyPre(op, w, x)
 		res.MatVecs++
-		dev.Copy(z, w)
-		dev.AXPY(-center, x, z)
-		dev.Scale(z, 1/halfWidth)
+		dev.ChebyshevStart(z, w, x, post, center, 1/halfWidth)
+		nrm = -1 // ‖x‖ of the filtered vector, when the last step measured it
 		for j := 1; j < steps; j++ {
-			op.Apply(w, z)
+			post = applyPre(op, w, z)
 			res.MatVecs++
 			// x ← 2·A'·z − x, then swap roles of x and z.
-			chebMap2(dev, x, w, z, center, halfWidth)
+			m := dev.ChebyshevStep(x, w, z, post, center, 2/halfWidth)
 			x, z = z, x
-			if m := dev.Norm2(x); m > 1e100 || (m < 1e-100 && m > 0) {
+			nrm = m
+			if m > 1e100 || (m < 1e-100 && m > 0) {
 				inv := 1 / m
 				dev.Scale(x, inv)
 				dev.Scale(z, inv)
+				nrm = -1
 			}
 		}
 		// The in-loop swap leaves the newest iterate z_steps in z; swap once
@@ -212,7 +216,9 @@ func ChebyshevIteration(op Operator, opts ChebyshevOptions) (ChebyshevResult, er
 		span.End(ph, int64(res.Restarts), int64(steps))
 
 		ph = beginPhase(sr, PhaseNormalize)
-		nrm = dev.Norm2(x)
+		if nrm < 0 {
+			nrm = dev.Norm2(x)
+		}
 		if nrm == 0 || math.IsNaN(nrm) || math.IsInf(nrm, 0) {
 			span.End(ph, int64(res.Restarts), 0)
 			finishCheb(&res, x, opts.Work)
@@ -280,21 +286,14 @@ func finishCheb(res *ChebyshevResult, x []float64, work *ChebyshevWork) {
 	}
 }
 
-// chebMap2 computes out ← 2·(w − c·z)/e − out, the three-term recurrence
-// step z_{j+1} = 2·A'·z_j − z_{j−1} with w = W·z and out holding z_{j−1}
-// on entry.
-func chebMap2(dev *device.Device, out, w, z []float64, c, e float64) {
-	s := 2 / e
-	if dev != nil {
-		od, wd, zd := out, w, z
-		dev.LaunchRange(len(out), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				od[i] = s*(wd[i]-c*zd[i]) - od[i]
-			}
-		})
-		return
+// applyPre computes dst ← op·src, except that an operator which ends its
+// product in an elementwise scale may leave that scale off and return it
+// (the Symmetric Fmmp operator's √F); the result is then f ⊙ dst. A nil
+// return means dst holds the full product.
+func applyPre(op Operator, dst, src []float64) (f []float64) {
+	if fo, ok := op.(*FmmpOperator); ok {
+		return fo.applyPre(dst, src)
 	}
-	for i := range out {
-		out[i] = s*(w[i]-c*z[i]) - out[i]
-	}
+	op.Apply(dst, src)
+	return nil
 }

@@ -127,6 +127,19 @@ func (op *FmmpOperator) Apply(dst, src []float64) {
 	}
 }
 
+// applyPre computes the Symmetric-form product without its trailing √F
+// scale, dst ← Q·(F^½ ⊙ src), and returns that scale so a caller can fold
+// it into its next vector pass (the fused Chebyshev step). The other forms
+// apply in full and return nil.
+func (op *FmmpOperator) applyPre(dst, src []float64) []float64 {
+	if op.Form != Symmetric {
+		op.Apply(dst, src)
+		return nil
+	}
+	op.applyQ(dst, src, op.fsqrt)
+	return op.fsqrt
+}
+
 // applyQ computes dst ← Q·(f ⊙ src), or dst ← Q·dst when f is nil.
 func (op *FmmpOperator) applyQ(dst, src, f []float64) {
 	switch {

@@ -225,3 +225,54 @@ func TestNorm2OverflowGuard(t *testing.T) {
 		}
 	}
 }
+
+// The fused Chebyshev kernels must equal the pass sequence they replace —
+// Mul by the diagonal, the recurrence map with every product rounded, and
+// a Norm2 pass — bit for bit, with and without the diagonal, on every
+// Device (and the inline nil Device).
+func TestChebyshevKernelsMatchUnfusedPasses(t *testing.T) {
+	r := rng.New(17)
+	n := 3*reduceBlock + 7 // several blocks plus a tail
+	x, w, z := randVec(r, n), randVec(r, n), randVec(r, n)
+	f := make([]float64, n)
+	for i := range f {
+		f[i] = 0.5 + r.Float64()
+	}
+	const c, s = 0.7, 1.9
+	devs := devices()
+	devs["nil"] = nil
+	for _, diag := range [][]float64{f, nil} {
+		// The unfused reference on the inline Device.
+		wf := append([]float64(nil), w...)
+		if diag != nil {
+			(*Device)(nil).Mul(wf, wf, diag)
+		}
+		stepRef := append([]float64(nil), x...)
+		for i := range stepRef {
+			stepRef[i] = float64(s*float64(wf[i]-float64(c*z[i]))) - stepRef[i]
+		}
+		normRef := (*Device)(nil).Norm2(stepRef)
+		startRef := make([]float64, n)
+		for i := range startRef {
+			startRef[i] = float64(wf[i] - float64(c*x[i]))
+		}
+		(*Device)(nil).Scale(startRef, s)
+
+		for name, d := range devs {
+			got := append([]float64(nil), x...)
+			if m := d.ChebyshevStep(got, w, z, diag, c, s); m != normRef {
+				t.Errorf("%s (diag %v): ChebyshevStep norm %v, want %v", name, diag != nil, m, normRef)
+			}
+			start := make([]float64, n)
+			d.ChebyshevStart(start, w, x, diag, c, s)
+			for i := range got {
+				if got[i] != stepRef[i] {
+					t.Fatalf("%s (diag %v): ChebyshevStep element %d = %v, want %v", name, diag != nil, i, got[i], stepRef[i])
+				}
+				if start[i] != startRef[i] {
+					t.Fatalf("%s (diag %v): ChebyshevStart element %d = %v, want %v", name, diag != nil, i, start[i], startRef[i])
+				}
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dense"
+	"repro/internal/device"
 	"repro/internal/rng"
 	"repro/internal/vec"
 )
@@ -106,5 +107,39 @@ func TestApplyShiftInvertDoesNotAllocate(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("ApplyShiftInvert allocates %.0f objects per call", allocs)
+	}
+}
+
+// The device launches carry their operands in pooled launch records, so a
+// launch on a multi-worker Device allocates nothing either. ν = 14 with
+// the default grain makes every launch below really split across both
+// workers.
+func TestDeviceLaunchesDoNotAllocate(t *testing.T) {
+	d := device.New(2)
+	q := MustUniform(14, 0.01)
+	vs := [][]float64{make([]float64, q.Dim()), make([]float64, q.Dim()), make([]float64, q.Dim())}
+	for _, v := range vs {
+		vec.Fill(v, 1)
+	}
+	x := MustXmvp(14, 0.01, 2)
+	dst := make([]float64, x.Dim())
+	cases := []struct {
+		name string
+		f    func()
+	}{
+		{"ApplyBatchDevice", func() { q.ApplyBatchDevice(d, vs) }},
+		{"FWHTDevice", func() { FWHTDevice(d, vs[0]) }},
+		{"Xmvp ApplyDevice", func() { x.ApplyDevice(d, dst, vs[1]) }},
+		{"ApplyShiftInvertDevice", func() {
+			if err := q.ApplyShiftInvertDevice(d, vs[2], 0.5); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, c := range cases {
+		c.f() // settle the launch free lists
+		if allocs := testing.AllocsPerRun(10, c.f); allocs != 0 {
+			t.Errorf("%s on a 2-worker Device allocates %.0f objects per call", c.name, allocs)
+		}
 	}
 }

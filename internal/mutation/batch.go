@@ -253,32 +253,43 @@ func applyStagesBlockedBatchDevice(d *device.Device, vs [][]float64, off0 int, f
 		fuse = maxFuseStages
 	}
 	B, nSmall := splitStages(n, off0, len(fs), tb)
+	l := getLaunch()
+	l.vs, l.B, l.off0 = vs, B, off0
 	if nSmall > 0 {
-		small := fs[:nSmall]
-		ntiles := n / B
-		d.LaunchStages(nSmall, len(vs)*ntiles, B, func(lo, hi int) {
-			for id := lo; id < hi; id++ {
-				v, t := vs[id/ntiles], id%ntiles
-				tileStages(v[t*B:(t+1)*B], off0, small)
-			}
-		})
+		l.fs, l.per = fs[:nSmall], n/B
+		d.LaunchStages(nSmall, len(vs)*l.per, B, l.batchTiles)
 	}
 	for s := nSmall; s < len(fs); {
 		m := len(fs) - s
 		if m > fuse {
 			m = fuse
 		}
-		group := fs[s : s+m]
-		rb0 := off0 + s - log2(B)
-		lowMask := 1<<uint(rb0) - 1
-		nBases := (n >> uint(log2(B))) >> uint(m)
-		d.LaunchStages(m, len(vs)*nBases, B<<uint(m), func(lo, hi int) {
-			for id := lo; id < hi; id++ {
-				v, bb := vs[id/nBases], id%nBases
-				base := ((bb &^ lowMask) << uint(m)) | (bb & lowMask)
-				crossGroup(v, B, base, rb0, group)
-			}
-		})
+		l.fs, l.m = fs[s:s+m], m
+		l.rb0 = off0 + s - log2(B)
+		l.lowMask = 1<<uint(l.rb0) - 1
+		l.per = (n >> uint(log2(B))) >> uint(m)
+		d.LaunchStages(m, len(vs)*l.per, B<<uint(m), l.batchCross)
 		s += m
+	}
+	l.release()
+}
+
+// runBatchTiles runs the tile pass over the combined grid [lo, hi) of
+// (vector, tile) items, l.per tiles per vector.
+func (l *launch) runBatchTiles(lo, hi int) {
+	B := l.B
+	for id := lo; id < hi; id++ {
+		v, t := l.vs[id/l.per], id%l.per
+		tileStages(v[t*B:(t+1)*B], l.off0, l.fs)
+	}
+}
+
+// runBatchCross runs the fused cross-stage group over the combined grid
+// [lo, hi) of (vector, row base) items, l.per row bases per vector.
+func (l *launch) runBatchCross(lo, hi int) {
+	for id := lo; id < hi; id++ {
+		v, bb := l.vs[id/l.per], id%l.per
+		base := ((bb &^ l.lowMask) << uint(l.m)) | (bb & l.lowMask)
+		crossGroup(v, l.B, base, l.rb0, l.fs)
 	}
 }

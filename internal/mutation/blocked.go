@@ -174,7 +174,7 @@ func applyStagesBlockedDevice(d *device.Device, v, src, f []float64, off0 int, f
 		fuse = maxFuseStages
 	}
 	B, nSmall := splitStages(n, off0, len(fs), tb)
-	l := getStageLaunch()
+	l := getLaunch()
 	l.v, l.B, l.off0 = v, B, off0
 	if f != nil && nSmall == 0 {
 		d.Mul(v, src, f)
@@ -199,47 +199,9 @@ func applyStagesBlockedDevice(d *device.Device, v, src, f []float64, off0 int, f
 	l.release()
 }
 
-// stageLaunch binds the operands of the fused stage-group launches of one
-// transform, so the kernels handed to LaunchStages are method values built
-// once per record rather than closures allocated on every launch. Records
-// cycle through a free list; a launch has finished every chunk when
-// LaunchStages returns, so the record can be reused right after.
-type stageLaunch struct {
-	v, src, f       []float64
-	fs              []Factor2
-	B, off0, rb0, m int
-	lowMask         int
-	tiles, cross    func(lo, hi int)
-}
-
-var stageLaunches = make(chan *stageLaunch, 16)
-
-// inline runs the device's elementwise kernels on the calling goroutine
-// (a nil Device); the tile prologue uses its Mul.
-var inline *device.Device
-
-func getStageLaunch() *stageLaunch {
-	select {
-	case l := <-stageLaunches:
-		return l
-	default:
-		l := new(stageLaunch)
-		l.tiles, l.cross = l.runTiles, l.runCross
-		return l
-	}
-}
-
-func (l *stageLaunch) release() {
-	l.v, l.src, l.f, l.fs = nil, nil, nil, nil
-	select {
-	case stageLaunches <- l:
-	default:
-	}
-}
-
 // runTiles runs the tile pass over tiles [lo, hi), with the f⊙src
 // prologue when f is set.
-func (l *stageLaunch) runTiles(lo, hi int) {
+func (l *launch) runTiles(lo, hi int) {
 	B := l.B
 	for t := lo * B; t < hi*B; t += B {
 		if l.f != nil {
@@ -250,7 +212,7 @@ func (l *stageLaunch) runTiles(lo, hi int) {
 }
 
 // runCross runs the fused cross-stage group over row bases [lo, hi).
-func (l *stageLaunch) runCross(lo, hi int) {
+func (l *launch) runCross(lo, hi int) {
 	for bb := lo; bb < hi; bb++ {
 		base := ((bb &^ l.lowMask) << uint(l.m)) | (bb & l.lowMask)
 		crossGroup(l.v, l.B, base, l.rb0, l.fs)

@@ -239,44 +239,57 @@ func (q *Process) applyGroupDevice(d *device.Device, g group, v []float64) {
 		q.applyGroupDeviceNaive(d, g, v)
 		return
 	}
+	l := getLaunch()
+	l.g, l.v = g, v
+	l.lowMask = 1<<uint(g.offset) - 1
+	d.LaunchRange(len(v)>>uint(g.bitsLen), l.groupRows)
+	l.release()
+}
+
+// runGroupRows applies the grouped factor l.g to row bases [lo, hi) of
+// l.v, gathering each row through per-chunk scratch.
+func (l *launch) runGroupRows(lo, hi int) {
+	g, v := &l.g, l.v
 	size := 1 << uint(g.bitsLen)
-	stride := 1 << uint(g.offset)
-	lowMask := stride - 1
-	nBases := len(v) >> uint(g.bitsLen)
-	d.LaunchRange(nBases, func(lo, hi int) {
-		in := make([]float64, size)
-		out := make([]float64, size)
-		for b := lo; b < hi; b++ {
-			base := ((b &^ lowMask) << uint(g.bitsLen)) | (b & lowMask)
-			for s := 0; s < size; s++ {
-				in[s] = v[base|(s<<uint(g.offset))]
-			}
-			g.mat.MatVec(out, in)
-			for s := 0; s < size; s++ {
-				v[base|(s<<uint(g.offset))] = out[s]
-			}
+	in := make([]float64, size)
+	out := make([]float64, size)
+	for b := lo; b < hi; b++ {
+		base := ((b &^ l.lowMask) << uint(g.bitsLen)) | (b & l.lowMask)
+		for s := 0; s < size; s++ {
+			in[s] = v[base|(s<<uint(g.offset))]
 		}
-	})
+		g.mat.MatVec(out, in)
+		for s := 0; s < size; s++ {
+			v[base|(s<<uint(g.offset))] = out[s]
+		}
+	}
 }
 
 // applyGroupDeviceNaive applies one Kronecker factor with one device
 // launch per stage over the independent logical threads of the stage.
 func (q *Process) applyGroupDeviceNaive(d *device.Device, g group, v []float64) {
 	if g.bitsLen == 1 {
-		stride := 1 << uint(g.offset)
-		a, b, c, dd := g.f2.A, g.f2.B, g.f2.C, g.f2.D
-		d.LaunchRange(len(v)/2, func(lo, hi int) {
-			for id := lo; id < hi; id++ {
-				// Algorithm 2, line 3: j = 2·ID − (ID & (i−1)).
-				j := 2*id - (id & (stride - 1))
-				t1, t2 := v[j], v[j+stride]
-				v[j] = a*t1 + b*t2
-				v[j+stride] = c*t1 + dd*t2
-			}
-		})
+		l := getLaunch()
+		l.g, l.v, l.stride = g, v, 1<<uint(g.offset)
+		d.LaunchRange(len(v)/2, l.pairs)
+		l.release()
 		return
 	}
 	q.applyGroupDevice(d, g, v)
+}
+
+// runPairs applies the 2×2 factor l.g.f2 to the butterfly pairs of logical
+// threads [lo, hi).
+func (l *launch) runPairs(lo, hi int) {
+	v, stride := l.v, l.stride
+	a, b, c, dd := l.g.f2.A, l.g.f2.B, l.g.f2.C, l.g.f2.D
+	for id := lo; id < hi; id++ {
+		// Algorithm 2, line 3: j = 2·ID − (ID & (i−1)).
+		j := 2*id - (id & (stride - 1))
+		t1, t2 := v[j], v[j+stride]
+		v[j] = a*t1 + b*t2
+		v[j+stride] = c*t1 + dd*t2
+	}
 }
 
 func (q *Process) checkDim(n int) {

@@ -117,28 +117,38 @@ func fwhtBlockedDevice(d *device.Device, v []float64, tb, fuse int) {
 		B = n
 	}
 	lgB := log2(B)
-	d.LaunchStages(lgB, n/B, B, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			fwhtTile(v[t*B : (t+1)*B])
-		}
-	})
+	l := getLaunch()
+	l.v, l.B = v, B
+	d.LaunchStages(lgB, n/B, B, l.fwhtTiles)
 	lgR := log2(n / B)
 	for s := 0; s < lgR; {
 		m := lgR - s
 		if m > fuse {
 			m = fuse
 		}
-		rb0 := s
-		mm := m
-		lowMask := 1<<uint(rb0) - 1
-		nBases := (n >> uint(lgB)) >> uint(mm)
-		d.LaunchStages(mm, nBases, B<<uint(mm), func(lo, hi int) {
-			for bb := lo; bb < hi; bb++ {
-				base := ((bb &^ lowMask) << uint(mm)) | (bb & lowMask)
-				fwhtCrossGroup(v, B, base, rb0, mm)
-			}
-		})
+		l.rb0, l.m = s, m
+		l.lowMask = 1<<uint(s) - 1
+		nBases := (n >> uint(lgB)) >> uint(m)
+		d.LaunchStages(m, nBases, B<<uint(m), l.fwhtCross)
 		s += m
+	}
+	l.release()
+}
+
+// runFWHTTiles transforms tiles [lo, hi) of l.v in place.
+func (l *launch) runFWHTTiles(lo, hi int) {
+	B := l.B
+	for t := lo; t < hi; t++ {
+		fwhtTile(l.v[t*B : (t+1)*B])
+	}
+}
+
+// runFWHTCross runs one fused group of cross-tile stages over row bases
+// [lo, hi).
+func (l *launch) runFWHTCross(lo, hi int) {
+	for bb := lo; bb < hi; bb++ {
+		base := ((bb &^ l.lowMask) << uint(l.m)) | (bb & l.lowMask)
+		fwhtCrossGroup(l.v, l.B, base, l.rb0, l.m)
 	}
 }
 
@@ -438,15 +448,22 @@ func (q *Process) ApplyShiftInvertDevice(d *device.Device, v []float64, mu float
 	sp := span.Begin(span.LayerMutation, KindShiftInvert)
 	inv := q.siInv
 	FWHTDevice(d, v)
-	scale := 1 / float64(q.n)
-	d.LaunchRange(len(v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v[i] *= inv[bits.Weight(uint64(i))] * scale
-		}
-	})
+	l := getLaunch()
+	l.v, l.inv, l.scale = v, inv, 1/float64(q.n)
+	d.LaunchRange(len(v), l.siScale)
+	l.release()
 	FWHTDevice(d, v)
 	span.End(sp, int64(q.nu), 1)
 	return nil
+}
+
+// runSIScale scales v[lo:hi) by the shift-invert spectrum of each
+// element's Hamming weight.
+func (l *launch) runSIScale(lo, hi int) {
+	v, inv, scale := l.v, l.inv, l.scale
+	for i := lo; i < hi; i++ {
+		v[i] *= inv[bits.Weight(uint64(i))] * scale
+	}
 }
 
 func (q *Process) requireUniform(op string) {

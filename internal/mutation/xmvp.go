@@ -91,10 +91,14 @@ func (x *Xmvp) Apply(dst, v []float64) {
 // rows are independent, so this mirrors the paper's GPU port of Xmvp.
 func (x *Xmvp) ApplyDevice(d *device.Device, dst, v []float64) {
 	x.checkDims(dst, v)
-	d.LaunchRange(x.n, func(lo, hi int) {
-		x.applyRows(dst, v, lo, hi)
-	})
+	l := getLaunch()
+	l.x, l.v, l.src = x, dst, v
+	d.LaunchRange(x.n, l.xmvpRows)
+	l.release()
 }
+
+// runXmvpRows computes rows [lo, hi) of l.v ← Q·l.src.
+func (l *launch) runXmvpRows(lo, hi int) { l.x.applyRows(l.v, l.src, lo, hi) }
 
 // applyRows computes rows [lo, hi) of dst ← Q·v. The value table is
 // re-sliced to the mask table's length so the paired loads run without

@@ -40,9 +40,9 @@ type SweepOptions struct {
 	Progress func(i int, p float64, iters int, warm bool, method string)
 	// Method selects the per-point eigensolver: "" or "power" (the
 	// historical default, byte-for-byte identical to previous releases),
-	// "auto" (per-point adaptive selection — power far from the error
-	// threshold, Chebyshev-filtered restarts and shift-invert Lanczos
-	// inside the critical window), or a forced gear ("chebyshev",
+	// "auto" (per-point adaptive selection — power or Chebyshev-filtered
+	// restarts by lower predicted cost, shift-invert Lanczos where the gap
+	// probe cannot resolve λ₀ from λ₁), or a forced gear ("chebyshev",
 	// "shiftinvert", "lanczos"). Reduced sweeps map every non-power method
 	// onto the dense shift-invert (RQI) path.
 	Method string
