@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/landscape"
 	"repro/internal/mutation"
+	"repro/internal/vec"
 )
 
 // criticalProblem returns a single-peak problem near its error threshold
@@ -239,6 +240,52 @@ func TestParseSolveMethod(t *testing.T) {
 		back, err := ParseSolveMethod(m.String())
 		if err != nil || back != m {
 			t.Errorf("round-trip %v → %q → %v, %v", m, m.String(), back, err)
+		}
+	}
+}
+
+// The adaptive gears move between the Right and Symmetric forms with the
+// operator's √F diagonal; both directions must equal ConvertEigenvector
+// followed by the same normalization, bit for bit.
+func TestAdaptiveConversionsMatchConvertEigenvector(t *testing.T) {
+	const nu = 10
+	l, err := landscape.NewRandom(nu, 5, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opS, err := NewFmmpOperator(mutation.MustUniform(nu, 0.01), l, Symmetric, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := NewAdaptiveWork(opS.Dim())
+	normalized := func(x []float64, from, to Formulation) []float64 {
+		x = append([]float64(nil), x...)
+		if err := ConvertEigenvector(x, from, to, l); err != nil {
+			t.Fatal(err)
+		}
+		vec.Scale(x, 1/vec.Norm2(x))
+		return x
+	}
+	start := FitnessStart(l)
+	for i := range start {
+		start[i] *= 1 + float64(i%7)/3 // a start that is not F itself
+	}
+	sym := work.symStart(opS, start)
+	requireBits(t, "Right → Symmetric", sym, normalized(start, Right, Symmetric))
+	var res AdaptiveResult
+	if err := acceptSymmetric(&res, work, opS, sym); err != nil {
+		t.Fatal(err)
+	}
+	want := normalized(sym, Symmetric, Right)
+	orientPositive(want)
+	requireBits(t, "Symmetric → Right", res.Vector, want)
+}
+
+func requireBits(t *testing.T, tag string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d = %v, want %v", tag, i, got[i], want[i])
 		}
 	}
 }
